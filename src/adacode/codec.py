@@ -2,23 +2,17 @@
 
 Encoding walks the input once, emitting the codeword of each symbol under
 the window of up to `order` preceding symbols. Decoding is greedy: because
-every context row is required to be a prefix code, at most one codeword can
-match the next bits, so the decoder walks a per-context binary trie and
-consumes each bit exactly once.
+every context row it visits is a prefix code, at most one codeword can match
+the next bits, so the decoder walks a per-context binary trie and consumes
+each bit exactly once. The same decode loop serves the GA codes of adacode.ga.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable
 
-from .core import (
-    AdaptiveCodeError,
-    CodeTable,
-    Context,
-    TableError,
-    format_context,
-    table_get,
-)
+from .core import AdaptiveCodeError, CodeTable, TableError, format_context, table_get
 from .prefix import is_prefix_code
 
 
@@ -63,28 +57,32 @@ class IncrementalEncoder:
 
     def __init__(self, table: CodeTable):
         self._table = table
-        self._window: list[int] = []
+        self._rows: dict[bytes, dict[int, str]] = {}
+        self._tail = b""
         self._position = 0
 
     def feed(self, data: bytes) -> str:
-        table = self._table
-        alphabet = table.alphabet
-        window = self._window
-        order = table.order
+        table, rows, order = self._table, self._rows, self._table.order
+        index_of = table.alphabet.index_of
+        buf = self._tail + data
+        start = len(self._tail)
         out: list[str] = []
-        for byte in data:
-            self._position += 1
-            try:
-                index = alphabet.index_of(byte)
-                word = table_get(table, index, tuple(window))
-            except TableError as exc:
-                raise EncodeError(
-                    f"{exc} (position {self._position})", self._position
-                ) from exc
+        for i in range(start, len(buf)):
+            window = buf[i - order : i] if i >= order else buf[:i]
+            row = rows.get(window)
+            if row is None:
+                words = table.rows.get(tuple(map(index_of, window)), ())
+                row = rows[window] = dict(zip(table.alphabet.symbols, words))
+            word = row.get(buf[i])
+            if word is None:
+                position = self._position + i - start + 1
+                try:
+                    table_get(table, index_of(buf[i]), tuple(map(index_of, window)))
+                except TableError as exc:
+                    raise EncodeError(f"{exc} (position {position})", position) from exc
             out.append(word)
-            window.append(index)
-            if len(window) > order:
-                del window[0]
+        self._position += len(buf) - start
+        self._tail = buf[-order:]
         return "".join(out)
 
 
@@ -94,20 +92,69 @@ def encode(table: CodeTable, data: bytes) -> str:
     return IncrementalEncoder(table).feed(data)
 
 
-def _row_trie(row: tuple[str, ...]) -> dict:
-    # Leaves carry the symbol index under the key "sym". A prefix-violating
-    # row cannot reach here through decode(), which refuses such tables.
+def _trie(row: Iterable[tuple[int, str]]) -> dict | None:
+    """Trie of a row's (byte value, codeword) pairs, None if not a prefix code.
+    Inner nodes are dicts keyed by "0"/"1"; a leaf is [byte value, next trie]."""
     root: dict = {}
-    for symbol, word in enumerate(row):
+    for value, word in row:
         node = root
-        for bit in word:
-            if "sym" in node:
-                raise DecodeError("ambiguous table")
+        for bit in word[:-1]:
             node = node.setdefault(bit, {})
-        if node:
-            raise DecodeError("ambiguous table")
-        node["sym"] = symbol
+            if node.__class__ is not dict:
+                return None
+        if word[-1] in node:
+            return None
+        node[word[-1]] = [value, None]
     return root
+
+
+def _greedy_decode(
+    bits: str,
+    max_symbols: int | None,
+    context: Callable[[int, memoryview], Hashable],
+    row: Callable[[Hashable, int], dict],
+    fixed_window: bool = False,
+) -> DecodeTrace:
+    """The greedy decode loop behind decode() and ga_decode().
+
+    context(position, view) names the context of the symbol at a 1-based
+    position from a read-only view of the output, whose first position-1 bytes
+    are decoded and never change. row(ctx, cursor) builds the context's trie on
+    first use or raises DecodeError. With fixed_window, the next context depends
+    only on the current one and the decoded symbol, so leaves cache their trie.
+    """
+    total = len(bits)
+    if bits.count("0") + bits.count("1") != total:
+        raise DecodeError("bit sequence must contain only 0 and 1")
+    out = bytearray(total if max_symbols is None else max(0, min(max_symbols, total)))
+    view = memoryview(out).toreadonly()
+    limit = len(out)
+    tries: dict = {}
+    cursor = count = 0
+    trie = leaf = None
+    while count < limit and cursor < total:
+        if trie is None:
+            ctx = context(count + 1, view)
+            trie = tries.get(ctx)
+            if trie is None:
+                trie = tries[ctx] = row(ctx, cursor)
+            if fixed_window and leaf is not None:
+                leaf[1] = trie
+        start = cursor
+        node = trie
+        try:
+            while node.__class__ is dict:
+                node = node[bits[cursor]]
+                cursor += 1
+        except KeyError:
+            raise DecodeError(f"undecodable at bit offset {start}", start) from None
+        except IndexError:
+            raise DecodeError(f"truncated input at bit offset {start}", start) from None
+        out[count] = node[0]
+        count += 1
+        leaf = node
+        trie = node[1]
+    return DecodeTrace(view[:count].tobytes(), count, cursor)
 
 
 def decode(table: CodeTable, bits: str, max_symbols: int | None = None) -> DecodeTrace:
@@ -117,42 +164,22 @@ def decode(table: CodeTable, bits: str, max_symbols: int | None = None) -> Decod
     is given, decoding stops after that many symbols and reports how many
     bits were consumed; otherwise the whole sequence must decode.
     """
-    if any(ch not in "01" for ch in bits):
-        raise DecodeError("bit sequence must contain only 0 and 1")
     if not prefix_predicate(table):
         raise DecodeError(
             "table has a context row that is not a prefix code; decoding refused"
         )
-    tries: dict[Context, dict] = {}
-    window: list[int] = []
-    out_indices: list[int] = []
-    total = len(bits)
-    cursor = 0
-    while cursor < total and (max_symbols is None or len(out_indices) < max_symbols):
-        ctx = tuple(window)
-        trie = tries.get(ctx)
-        if trie is None:
-            row = table.rows.get(ctx)
-            if row is None:
-                raise DecodeError(
-                    f"no codeword row for context "
-                    f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}",
-                    cursor,
-                )
-            trie = tries[ctx] = _row_trie(row)
-        start = cursor
-        node = trie
-        while "sym" not in node:
-            if cursor >= total:
-                raise DecodeError(f"truncated input at bit offset {start}", start)
-            child = node.get(bits[cursor])
-            if child is None:
-                raise DecodeError(f"undecodable at bit offset {start}", start)
-            node = child
-            cursor += 1
-        index = node["sym"]
-        out_indices.append(index)
-        window.append(index)
-        if len(window) > table.order:
-            del window[0]
-    return DecodeTrace(table.alphabet.to_bytes(out_indices), len(out_indices), cursor)
+
+    def row(window: bytes, cursor: int) -> dict:
+        ctx = tuple(map(table.alphabet.index_of, window))
+        if ctx not in table.rows:
+            raise DecodeError(
+                f"no codeword row for context "
+                f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}",
+                cursor,
+            )
+        return _trie(zip(table.alphabet.symbols, table.rows[ctx]))
+
+    def window(position: int, view: memoryview) -> bytes:
+        return view[max(0, position - 1 - table.order) : position - 1].tobytes()
+
+    return _greedy_decode(bits, max_symbols, window, row, fixed_window=True)

@@ -194,6 +194,13 @@ def read_container(data: bytes) -> ContainerContent:
             raise ContainerError("builder mode requires order 1 and at least two symbols")
         table = build_order1(alphabet)
     elif mode == MODE_EXPLICIT:
+        # Each codeword takes at least two bytes: its length and one of bits.
+        minimum = 2 * h * sum(h**k for k in range(order + 1))
+        if minimum > len(data) - cursor:
+            raise ContainerError(
+                f"truncated container: an explicit table needs at least {minimum} "
+                f"bytes, {len(data) - cursor} remain"
+            )
         rows: dict[Context, tuple[Codeword, ...]] = {}
         for ctx in iter_contexts(h, order):
             row = []
@@ -219,10 +226,15 @@ def read_container(data: bytes) -> ContainerContent:
 def decode_payload(table: CodeTable, payload_bits: str, symbol_count: int) -> bytes:
     """Decode exactly symbol_count symbols and verify the leftover padding.
 
-    Leftover bits after the last symbol must number fewer than 8 and all be
-    zero; anything else is trailing garbage.
+    A payload that ends before symbol_count symbols is an error. Leftover
+    bits after the last symbol must number fewer than 8 and all be zero;
+    anything else is trailing garbage.
     """
     trace = decode(table, payload_bits, max_symbols=symbol_count)
+    if trace.iterations < symbol_count:
+        raise ContainerError(
+            f"payload ends after {trace.iterations} of {symbol_count} symbols"
+        )
     leftover = payload_bits[trace.bits_consumed :]
     if len(leftover) >= 8 or "1" in leftover:
         raise ContainerError(

@@ -3,10 +3,10 @@
 Instead of a fixed-length suffix window, the context for each position comes
 from an arbitrary rule. The rule only ever sees the symbols strictly before
 the position it is asked about; that restriction is what makes greedy
-decoding possible, since the decoder can recompute every context from what
-it has already emitted. Symbols here are raw byte values, and lookups are
-keyed by (symbol value, context of symbol values), so any code table can be
-flattened into this representation.
+decoding possible, since the decoder (the one table codes use) can recompute
+every context from what it has already emitted. Symbols here are raw byte
+values, and lookups are keyed by (symbol value, context of symbol values),
+so any code table can be flattened into this representation.
 """
 
 from __future__ import annotations
@@ -14,35 +14,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .codec import DecodeError, EncodeError
-from .core import AdaptiveCodeError, CodeTable, Codeword, format_symbol
-from .prefix import is_prefix_code
+from .codec import DecodeError, EncodeError, _greedy_decode, _trie
+from .core import (
+    AdaptiveCodeError,
+    Alphabet,
+    CodeTable,
+    Codeword,
+    _check_codeword,
+    format_context,
+)
 
 Symbols = tuple[int, ...]
-
-
-def _format_values(values: Sequence[int]) -> str:
-    if not values:
-        return "~"
-    return "".join(format_symbol(v) for v in values)
+_BYTE_VALUES = Alphabet(tuple(range(256)))  # format_context over byte values
 
 
 @dataclass(frozen=True)
 class AdaptiveFunction:
     """Causal context rule: (1-based position, prior symbols) -> context.
 
-    The rule is handed only the symbols strictly before the queried position,
-    and its output may never exceed the declared max_context bound (None
-    means unbounded).
+    The rule is handed a read-only bytes-like view (a memoryview) of exactly
+    the position-1 byte values before the queried position. Indexing and
+    slicing work, tuple() and bytes() copy it, but tuple concatenation does
+    not; a kept view stays valid and unchanged. The rule returns byte values,
+    no more than the declared max_context bound (None means unbounded).
     """
 
-    rule: Callable[[int, Symbols], Symbols]
+    rule: Callable[[int, memoryview], Sequence[int]]
     max_context: int | None = None
 
     def __call__(self, position: int, prefix: Sequence[int]) -> Symbols:
         if position < 1:
             raise AdaptiveCodeError("positions are 1-based")
-        ctx = tuple(self.rule(position, tuple(prefix)[: position - 1]))
+        view = prefix if isinstance(prefix, memoryview) else memoryview(bytes(prefix))
+        ctx = tuple(bytes(self.rule(position, view[: position - 1].toreadonly())))
         if self.max_context is not None and len(ctx) > self.max_context:
             raise AdaptiveCodeError(
                 f"context rule produced {len(ctx)} symbols, "
@@ -56,15 +60,7 @@ def order_n_function(n: int) -> AdaptiveFunction:
     the last min(i-1, n) symbols."""
     if n < 1:
         raise AdaptiveCodeError("order must be at least 1")
-
-    def rule(position: int, prefix: Symbols) -> Symbols:
-        if position == 1:
-            return ()
-        if position <= n + 1:
-            return prefix
-        return prefix[-n:]
-
-    return AdaptiveFunction(rule, max_context=n)
+    return AdaptiveFunction(lambda position, prefix: prefix[-n:], max_context=n)
 
 
 @dataclass(frozen=True)
@@ -84,10 +80,7 @@ class GACode:
             if not 0 <= symbol <= 255:
                 raise AdaptiveCodeError(f"symbol {symbol!r} is not a byte value")
             ctx = tuple(raw_ctx)
-            if not word or any(ch not in "01" for ch in word):
-                raise AdaptiveCodeError(
-                    f"codeword must be a nonempty string of 0/1 bits, got {word!r}"
-                )
+            _check_codeword(word)
             normalized[(symbol, ctx)] = word
             rows.setdefault(ctx, {})[symbol] = word
         if not normalized:
@@ -109,15 +102,15 @@ def lookup_from_table(table: CodeTable) -> dict[tuple[int, Symbols], Codeword]:
 
 def ga_encode(code: GACode, data: bytes) -> str:
     """Concatenated codewords of data under the code's context rule."""
-    symbols = tuple(data)
+    view = memoryview(data)
     out: list[str] = []
-    for i in range(1, len(symbols) + 1):
-        ctx = code.function(i, symbols[: i - 1])
-        word = code.lookup.get((symbols[i - 1], ctx))
+    for i, symbol in enumerate(view, 1):
+        ctx = code.function(i, view)
+        word = code.lookup.get((symbol, ctx))
         if word is None:
             raise EncodeError(
-                f"no codeword for symbol {format_symbol(symbols[i - 1])} in "
-                f"context '{_format_values(ctx)}' (position {i})",
+                f"no codeword for symbol {format_context(_BYTE_VALUES, (symbol,))} "
+                f"in context '{format_context(_BYTE_VALUES, ctx)}' (position {i})",
                 i,
             )
         out.append(word)
@@ -127,37 +120,17 @@ def ga_encode(code: GACode, data: bytes) -> str:
 def ga_decode(code: GACode, bits: str) -> bytes:
     """Greedy inverse of ga_encode. Each visited context row is checked to be
     a prefix code the first time it is used; other rows are never inspected."""
-    if any(ch not in "01" for ch in bits):
-        raise DecodeError("bit sequence must contain only 0 and 1")
-    out = bytearray()
-    checked: set[Symbols] = set()
-    cursor = 0
-    total = len(bits)
-    while cursor < total:
-        ctx = code.function(len(out) + 1, tuple(out))
-        row = code._rows.get(ctx)
-        if row is None:
+
+    def row(ctx: Symbols, cursor: int) -> dict:
+        words = code._rows.get(ctx)
+        name = format_context(_BYTE_VALUES, ctx)
+        if words is None:
             raise DecodeError(
-                f"no codewords for context '{_format_values(ctx)}' "
-                f"at bit offset {cursor}",
-                cursor,
+                f"no codewords for context '{name}' at bit offset {cursor}", cursor
             )
-        if ctx not in checked:
-            if not is_prefix_code(row.values()):
-                raise DecodeError(
-                    f"non-prefix row at visited context '{_format_values(ctx)}'"
-                )
-            checked.add(ctx)
-        match: int | None = None
-        for symbol, word in row.items():
-            if bits.startswith(word, cursor):
-                match = symbol
-                break
-        if match is None:
-            remaining = bits[cursor:]
-            if any(word.startswith(remaining) for word in row.values()):
-                raise DecodeError(f"truncated input at bit offset {cursor}", cursor)
-            raise DecodeError(f"undecodable at bit offset {cursor}", cursor)
-        out.append(match)
-        cursor += len(row[match])
-    return bytes(out)
+        trie = _trie(words.items())
+        if trie is None:
+            raise DecodeError(f"non-prefix row at visited context '{name}'")
+        return trie
+
+    return _greedy_decode(bits, None, code.function, row).output

@@ -180,6 +180,16 @@ def test_decode_trailing_garbage(tmp_path, capsys):
     assert "trailing garbage" in capsys.readouterr().err
 
 
+def test_decode_payload_shorter_than_header_count(tmp_path, capsysbinary):
+    table = build_order1(alphabet_from_bytes(b"abc"))
+    cont = tmp_path / "c.bin"
+    cont.write_bytes(write_container(table, 121, encode(table, W1 + b"a")))
+    assert main(["decode", str(cont)]) == 4
+    out = capsysbinary.readouterr()
+    assert out.out == b""
+    assert b"of 121 symbols" in out.err
+
+
 def test_missing_input_file(tmp_path, capsys):
     assert main(["decode", str(tmp_path / "nope.bin")]) == 2
     assert capsys.readouterr().err != ""

@@ -358,3 +358,34 @@ def test_random_tables_roundtrip_both_formats():
         content = read_container(blob)
         assert content.table == t
         assert decode_payload(content.table, content.payload_bits, len(w)) == w
+
+
+def test_decode_payload_rejects_payload_shorter_than_symbol_count():
+    t = build_order1(alphabet_from_bytes(b"abc"))
+    w = W1 + b"a"
+    content = read_container(write_container(t, 121, encode(t, w)))
+    with pytest.raises(ContainerError, match="payload ends after 2[1-7] of 121 symbols"):
+        decode_payload(content.table, content.payload_bits, content.symbol_count)
+
+
+def test_read_container_sizes_explicit_table_before_parsing(monkeypatch):
+    import adacode.container as container
+
+    # h = 256, order 3: 16.8M codewords of at least 2 bytes each, over 600 KB
+    header = b"ADC1" + bytes([1, 3]) + (256).to_bytes(2, "big") + bytes(range(256))
+    header += (0).to_bytes(8, "big") + bytes([1])
+    parsed = []
+    real_unpack = container.unpack_bits
+    monkeypatch.setattr(
+        container, "unpack_bits", lambda packed: parsed.append(1) or real_unpack(packed)
+    )
+    with pytest.raises(ContainerError, match="explicit table needs at least"):
+        read_container(header + b"\x01\x00" * 300_000)
+    assert parsed == []
+
+    # a table of one-byte codewords with no payload is exactly the minimum size
+    t = build_order1(alphabet_from_bytes(b"abc"))
+    blob = write_container(t, 0, "", builder_mode=False)
+    assert read_container(blob).table == t
+    with pytest.raises(ContainerError, match="explicit table needs at least"):
+        read_container(blob[:-1])

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from adacode import (
     AdaptiveCodeError,
     AdaptiveFunction,
+    CodeTable,
     DecodeError,
     EncodeError,
     GACode,
@@ -192,3 +193,68 @@ def test_ga_roundtrip_order1(w):
     t = build_order1(alphabet_from_bytes(b"ab"))
     code = GACode(order_n_function(1), lookup_from_table(t))
     assert ga_decode(code, ga_encode(code, w)) == w
+
+
+def _outcome(run):
+    try:
+        return run()
+    except DecodeError as exc:
+        return ("error", exc.bit_offset)
+
+
+def test_ga_and_table_decoders_fail_at_the_same_bit_offset():
+    rng = random.Random(41)
+    failures = 0
+    for _ in range(200):
+        order = rng.randint(1, 3)
+        table = random_table(rng, order, rng.randint(2, 5))
+        bits = encode(table, random_string(rng, table.alphabet, rng.randint(1, 40)))
+        if rng.random() < 0.5:
+            # drop a nonempty-context row, so some streams reach a missing row
+            dropped = rng.choice([ctx for ctx in table.rows if ctx])
+            rows = {ctx: row for ctx, row in table.rows.items() if ctx != dropped}
+            table = CodeTable(alphabet=table.alphabet, order=order, rows=rows)
+        code = GACode(order_n_function(order), lookup_from_table(table))
+        flip = rng.randrange(len(bits))
+        flipped = bits[:flip] + "10"[int(bits[flip])] + bits[flip + 1 :]
+        for damaged in (bits[: rng.randrange(len(bits))], flipped):
+            table_result = _outcome(lambda: decode(table, damaged).output)
+            assert _outcome(lambda: ga_decode(code, damaged)) == table_result
+            failures += isinstance(table_result, tuple)
+    assert failures > 50
+
+
+def test_rules_get_a_readonly_view_of_exactly_the_prior_symbols():
+    data = b"abracadabra"
+    seen = []
+
+    def rule(position, prefix):
+        assert isinstance(prefix, memoryview) and prefix.readonly
+        seen.append((position, bytes(prefix)))
+        with pytest.raises(TypeError):
+            prefix[:0] = b""
+        return prefix[-1:]
+
+    table = build_order1(alphabet_from_bytes(data))
+    code = GACode(AdaptiveFunction(rule, max_context=1), lookup_from_table(table))
+    expected = [(i, data[: i - 1]) for i in range(1, len(data) + 1)]
+    bits = ga_encode(code, data)
+    assert seen == expected
+    seen.clear()
+    assert ga_decode(code, bits) == data
+    assert seen == expected
+
+
+def test_rule_that_keeps_its_views_still_roundtrips():
+    rng = random.Random(3)
+    kept = []
+
+    def rule(position, prefix):
+        kept.append(prefix)
+        return prefix[-2:-1]
+
+    table = build_order1(alphabet_from_bytes(b"abcd"))
+    code = GACode(AdaptiveFunction(rule, max_context=1), lookup_from_table(table))
+    data = random_string(rng, table.alphabet, 300)
+    assert ga_decode(code, ga_encode(code, data)) == data
+    assert [bytes(view) for view in kept] == [data[:i] for i in range(len(data))] * 2
