@@ -3,10 +3,15 @@
 Two families of quantities are computed for a string. The classical Huffman
 figures treat the string as a bag of symbols: entropy H and per-symbol rate
 R, with H <= R <= H+1 guaranteed. The adaptive figures split the order-1
-coder's cost into a run part (first codeword plus one bit per repeated
-position) and a transition part estimated from how often each symbol is
-entered from each predecessor. The adaptive entropy-vs-rate bound is
-reported but never asserted, because the two sides do not share a unit.
+coder's cost into a run part (first codeword plus the codeword of every
+repeated position) and a transition part estimated from how often each
+symbol is entered from each predecessor. The adaptive entropy-vs-rate bound
+is reported but never asserted, because the two sides do not share a unit.
+
+An order-1 coder spends one codeword per adjacent pair, so every adaptive
+figure comes from one count of adjacent pairs and the codeword lengths, with
+the transition part summed over distinct (predecessor, symbol) pairs. A
+string the table cannot code raises the encoder's positioned EncodeError.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
+from math import fsum, log2
 from typing import Sequence
 
 from .codec import encode
-from .core import AdaptiveCodeError, CodeTable, EMPTY_CONTEXT, TableError, table_get
+from .core import AdaptiveCodeError, CodeTable, EMPTY_CONTEXT, TableError
 from .prefix import huffman_total_length
 
 
@@ -94,80 +99,73 @@ def huffman_rate(w: bytes) -> float:
     return huffman_total_length(_frequencies(w)) / len(w)
 
 
-def _require_order1(table: CodeTable) -> None:
+def _transition_bits(pairs: Counter) -> float:
+    """l_huffman from a count of adjacent pairs."""
+    into: Counter = Counter()
+    for (a, b), f in pairs.items():
+        if a != b:
+            into[b] += f
+    return fsum(f * (1.0 + log2(into[b] / f)) for (a, b), f in pairs.items() if a != b)
+
+
+def _order1_pass(w: bytes, table: CodeTable) -> tuple[int, int, float]:
+    """(encoded bits, run bits, transition bits) of w under an order-1 table,
+    from one count of adjacent pairs and the table's codeword lengths."""
+    _require_nonempty(w)
     if table.order != 1:
         raise TableError("this analysis requires an order-1 table")
+    pairs = Counter(zip(w, w[1:]))
+    rows, index_of = table.rows, table.alphabet.index_of
+    try:
+        encoded = run = len(rows[EMPTY_CONTEXT][index_of(w[0])])
+        for (a, b), f in pairs.items():
+            bits = f * len(rows[(index_of(a),)][index_of(b)])
+            encoded += bits
+            if a == b:
+                run += bits
+    except (KeyError, TableError):
+        encode(table, w)  # raises the encoder's positioned EncodeError
+        raise
+    return encoded, run, _transition_bits(pairs)
 
 
 def l_not_huffman(w: bytes, table: CodeTable) -> int:
     """Bits spent outside transitions: the first codeword plus the codeword
     of every repeated position. For tables from build_order1 this is
     nrpairs(w) + len of the first symbol's empty-context codeword."""
-    _require_nonempty(w)
-    _require_order1(table)
-    index_of = table.alphabet.index_of
-    total = len(table_get(table, index_of(w[0]), EMPTY_CONTEXT))
-    for i in pair_stats(w).pairs:
-        total += len(table_get(table, index_of(w[i]), (index_of(w[i - 1]),)))
-    return total
+    return _order1_pass(w, table)[1]
 
 
 def l_huffman(w: bytes) -> float:
-    """Estimated transition cost: for each position whose symbol differs from
-    its predecessor, one bit plus the log-share of entering that symbol from
-    that predecessor, averaged over the symbol's transition occurrences. The
-    inner sum runs over distinct predecessor symbols."""
+    """Estimated transition cost: over the distinct (predecessor, symbol)
+    pairs with different symbols, seen f times, f * (1 + log2(n / f)), where
+    n counts the transitions into that symbol from any predecessor."""
     _require_nonempty(w)
-    eh = eh_positions(w)
-    if not eh:
-        return 0.0
-    occurrences: dict[int, int] = {}
-    predecessor_counts: dict[int, dict[int, int]] = {}
-    for i in eh:
-        symbol = w[i - 1]
-        predecessor = w[i - 2]
-        occurrences[symbol] = occurrences.get(symbol, 0) + 1
-        per = predecessor_counts.setdefault(symbol, {})
-        per[predecessor] = per.get(predecessor, 0) + 1
-    share: dict[int, float] = {}
-    for symbol, n_s in occurrences.items():
-        inner = sum(
-            f * (1.0 + log2(n_s / f)) for f in predecessor_counts[symbol].values()
-        )
-        share[symbol] = inner / n_s
-    return sum(share[w[i - 1]] for i in eh)
+    return _transition_bits(Counter(zip(w, w[1:])))
 
 
 def h_a(w: bytes, table: CodeTable) -> float:
     """Adaptive entropy estimate: run bits plus estimated transition bits."""
-    return l_not_huffman(w, table) + l_huffman(w)
+    _, run_bits, transition_bits = _order1_pass(w, table)
+    return run_bits + transition_bits
 
 
 def r_a_literal(w: bytes, table: CodeTable) -> float:
     """Actual per-symbol rate of the order-1 adaptive coder on this string."""
-    _require_nonempty(w)
-    _require_order1(table)
-    return len(encode(table, w)) / len(w)
+    return _order1_pass(w, table)[0] / len(w)
 
 
 def compare_report(w: bytes, table: CodeTable) -> AnalysisReport:
     """Every analysis figure for one string under one order-1 table."""
-    _require_nonempty(w)
-    _require_order1(table)
-    stats = pair_stats(w)
-    eh = eh_positions(w)
-    bits = encode(table, w)
-    run_bits = l_not_huffman(w, table)
-    transition_bits = l_huffman(w)
-    frequencies = _frequencies(w)
-    huffman_bits = huffman_total_length(frequencies)
+    encoded_bits, run_bits, transition_bits = _order1_pass(w, table)
+    huffman_bits = huffman_total_length(_frequencies(w))
     n = len(w)
     return AnalysisReport(
         length=n,
-        stats=stats,
-        eh=eh,
-        encoded_bits=len(bits),
-        r_a_literal=len(bits) / n,
+        stats=pair_stats(w),
+        eh=eh_positions(w),
+        encoded_bits=encoded_bits,
+        r_a_literal=encoded_bits / n,
         huffman_total_bits=huffman_bits,
         huffman_rate=huffman_bits / n,
         huffman_entropy=huffman_entropy(w),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
-from .core import AdaptiveCodeError, CodeTable, TableError, format_context, table_get
+from .core import AdaptiveCodeError, CodeTable, TableError, format_context, is_bits, table_get
 from .prefix import is_prefix_code
 
 
@@ -124,7 +124,7 @@ def _greedy_decode(
     only on the current one and the decoded symbol, so leaves cache their trie.
     """
     total = len(bits)
-    if bits.count("0") + bits.count("1") != total:
+    if not is_bits(bits):
         raise DecodeError("bit sequence must contain only 0 and 1")
     out = bytearray(total if max_symbols is None else max(0, min(max_symbols, total)))
     view = memoryview(out).toreadonly()

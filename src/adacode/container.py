@@ -52,6 +52,7 @@ from .core import (
     TableError,
     format_context,
     format_symbol,
+    is_bits,
     iter_contexts,
 )
 
@@ -74,12 +75,12 @@ class PackedBits:
 
 
 def pack_bits(bits: str) -> PackedBits:
-    if any(ch not in "01" for ch in bits):
+    # int() would also accept "_", a sign and surrounding whitespace
+    if not is_bits(bits):
         raise ContainerError("bit sequence must contain only 0 and 1")
-    data = bytearray()
-    for i in range(0, len(bits), 8):
-        data.append(int(bits[i : i + 8].ljust(8, "0"), 2))
-    return PackedBits(bytes(data), len(bits))
+    size = (len(bits) + 7) // 8
+    data = int(bits.ljust(8 * size, "0") or "0", 2).to_bytes(size, "big")
+    return PackedBits(data, len(bits))
 
 
 def unpack_bits(packed: PackedBits) -> str:
@@ -89,7 +90,8 @@ def unpack_bits(packed: PackedBits) -> str:
         raise ContainerError("truncated bit payload: bit count exceeds available bytes")
     if packed.bit_count == 0:
         return ""
-    return "".join(format(b, "08b") for b in packed.data)[: packed.bit_count]
+    data = packed.data
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[: packed.bit_count]
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,7 @@ def table_from_text(text: str) -> CodeTable:
             symbol = alphabet.index_of(symbol_values[0])
         except TableError as exc:
             raise TableError(f"line {line_no}: {exc}") from None
-        if not bits or any(ch not in "01" for ch in bits):
+        if not bits or not is_bits(bits):
             raise TableError(f"line {line_no}: codeword must be nonempty bits, got '{bits}'")
         row = cells.setdefault(ctx, {})
         if symbol in row:

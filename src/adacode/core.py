@@ -92,18 +92,6 @@ def format_context(alphabet: Alphabet, ctx: Sequence[int]) -> str:
     return "".join(format_symbol(alphabet.symbols[i]) for i in ctx)
 
 
-def context_window(u: Sequence[int], n: int) -> Context:
-    """The last min(len(u), n) elements of u, as a tuple.
-
-    This is the context in effect after the symbols of u have been seen by a
-    coder of order n.
-    """
-    if n < 1:
-        raise AdaptiveCodeError("order must be at least 1")
-    u = tuple(u)
-    return u if len(u) <= n else u[-n:]
-
-
 def iter_contexts(alphabet_size: int, order: int) -> Iterator[Context]:
     """All contexts up to the given order: empty first, then by length, then
     in lexicographic index order. This is the canonical enumeration used by
@@ -113,8 +101,13 @@ def iter_contexts(alphabet_size: int, order: int) -> Iterator[Context]:
         yield from product(range(alphabet_size), repeat=length)
 
 
+def is_bits(s: str) -> bool:
+    """True if s holds only the characters 0 and 1."""
+    return s.count("0") + s.count("1") == len(s)
+
+
 def _check_codeword(word: str) -> None:
-    if not isinstance(word, str) or not word or any(ch not in "01" for ch in word):
+    if not isinstance(word, str) or not word or not is_bits(word):
         raise TableError(f"codeword must be a nonempty string of 0/1 bits, got {word!r}")
 
 

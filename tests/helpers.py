@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own code paths: the Huffman
 oracle enumerates Kraft-feasible length assignments, the decoder oracle
-scans rows linearly instead of walking tries, and the transition-cost oracle
-transliterates the defining formula position by position.
+scans rows linearly instead of walking tries, and the run-cost and
+transition-cost oracles transliterate the defining formulas position by
+position.
 """
 
 from __future__ import annotations
@@ -143,4 +144,16 @@ def literal_l_huffman(w: bytes) -> float:
             f_q = len([j for j in eh if w[j - 1] == w[i - 1] and w[j - 2] == q])
             inner += f_q * (1.0 + math.log2(n_i / f_q))
         total += inner / n_i
+    return total
+
+
+def literal_l_not_huffman(w: bytes, table: CodeTable) -> int:
+    """Position-by-position run cost of an order-1 table: the first
+    codeword plus the codeword at every repeated position, read straight
+    from table.rows."""
+    index = table.alphabet.symbols.index
+    total = len(table.rows[()][index(w[0])])
+    for i in range(1, len(w)):
+        if w[i] == w[i - 1]:
+            total += len(table.rows[(index(w[i - 1]),)][index(w[i])])
     return total

@@ -7,9 +7,11 @@ from itertools import product
 
 import pytest
 
+import adacode.analysis
 from adacode import (
     AdaptiveCodeError,
     CSV_COLUMNS,
+    EncodeError,
     TableError,
     alphabet_from_bytes,
     compare_report,
@@ -25,11 +27,12 @@ from adacode import (
     render_comparison,
     render_csv,
     render_stats,
+    table_from_text,
     table_get,
 )
 from adacode.builder import build_order1
 
-from helpers import literal_l_huffman, random_string
+from helpers import literal_l_huffman, literal_l_not_huffman, random_string, random_table
 
 W1 = b"abbbcabccaabccabbcba"
 W2 = b"abbbccbccaabccaaacba"
@@ -212,8 +215,45 @@ def test_render_stats_reports_bounds_without_asserting():
 
 
 def test_encoded_bits_match_encode():
-    t = build_order1(alphabet_from_bytes(b"abc"))
     rng = random.Random(3)
-    for _ in range(20):
-        w = random_string(rng, t.alphabet, rng.randint(1, 60))
-        assert compare_report(w, t).encoded_bits == len(encode(t, w))
+    for k in range(6):
+        if k == 0:
+            t = build_order1(alphabet_from_bytes(b"abc"))
+        else:
+            t = random_table(rng, 1, rng.randint(2, 6))
+        for _ in range(20):
+            w = random_string(rng, t.alphabet, rng.randint(1, 60))
+            r = compare_report(w, t)
+            assert r.encoded_bits == len(encode(t, w))
+            assert r.l_not_huffman == l_not_huffman(w, t) == literal_l_not_huffman(w, t)
+            assert r.h_a == h_a(w, t)
+            assert r.r_a_literal == r_a_literal(w, t)
+
+
+def test_codable_input_never_runs_the_encoder(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the encoder ran")
+
+    monkeypatch.setattr(adacode.analysis, "encode", refuse)
+    t = build_order1(alphabet_from_bytes(b"abc"))
+    r = compare_report(W1, t)
+    assert (r.encoded_bits, r.l_not_huffman) == (33, 7)
+    assert r_a_literal(W1, t) == 33 / 20
+
+
+PARTIAL = table_from_text("order 1\nalphabet ab\n~ a 0\n~ b 1\na a 0\na b 1\n")
+
+
+@pytest.mark.parametrize(
+    "w, table, message, position",
+    [
+        (b"abcab", build_order1(alphabet_from_bytes(b"ab")), "symbol c not in alphabet", 3),
+        (b"aabba", PARTIAL, "no codeword for (symbol index 1, context 'b')", 4),
+    ],
+)
+def test_uncodable_input_raises_the_encoders_error(w, table, message, position):
+    for figure in (compare_report, l_not_huffman, h_a, r_a_literal):
+        with pytest.raises(EncodeError) as info:
+            figure(w, table)
+        assert str(info.value) == f"{message} (position {position})"
+        assert info.value.position == position

@@ -270,6 +270,24 @@ def test_stats_empty_input(tmp_path, capsys):
     assert "nonempty" in capsys.readouterr().err
 
 
+def test_stats_symbol_outside_alphabet(tmp_path, capsys):
+    inp = tmp_path / "input"
+    inp.write_bytes(b"abcab")
+    assert main(["stats", str(inp), "--alphabet", "ab"]) == 3
+    assert capsys.readouterr().err == "adacode: symbol c not in alphabet (position 3)\n"
+
+
+def test_stats_partial_table_missing_row(tmp_path, capsys):
+    inp = tmp_path / "input"
+    inp.write_bytes(b"aabba")
+    table_file = tmp_path / "partial.txt"
+    table_file.write_text("order 1\nalphabet ab\n~ a 0\n~ b 1\na a 0\na b 1\n")
+    assert main(["stats", str(inp), "--table", str(table_file)]) == 3
+    assert capsys.readouterr().err == (
+        "adacode: no codeword for (symbol index 1, context 'b') (position 4)\n"
+    )
+
+
 def test_stats_from_stdin(monkeypatch, capsys):
     fake_stdin(monkeypatch, b"abab")
     assert main(["stats", "-"]) == 0

@@ -9,7 +9,6 @@ from adacode import (
     EncodeError,
     IncrementalEncoder,
     alphabet_from_bytes,
-    context_window,
     decode,
     encode,
     prefix_predicate,
@@ -164,7 +163,7 @@ def test_iteration_count_formula():
         trace = decode(table, bits)
         indices = [table.alphabet.index_of(b) for b in w]
         lengths = [
-            len(table_get(table, indices[i], context_window(indices[:i], table.order)))
+            len(table_get(table, indices[i], tuple(indices[max(0, i - table.order) : i])))
             for i in range(len(indices))
         ]
         assert sum(lengths) == len(bits)

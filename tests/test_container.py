@@ -43,8 +43,10 @@ def test_pack_bits_examples():
 
 
 def test_pack_bits_rejects_non_bits():
-    with pytest.raises(ContainerError):
-        pack_bits("01a")
+    # int(bits, 2) would parse all but the first of these
+    for bits in ("01a", "0_1", " 01", "01\n"):
+        with pytest.raises(ContainerError):
+            pack_bits(bits)
 
 
 def test_unpack_bits_examples():

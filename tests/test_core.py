@@ -1,4 +1,4 @@
-"""Alphabets, context windows, and table lookups."""
+"""Alphabets, contexts, and table lookups."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +9,6 @@ from adacode import (
     CodeTable,
     TableError,
     alphabet_from_bytes,
-    context_window,
     format_context,
     format_symbol,
     iter_contexts,
@@ -48,48 +47,6 @@ def test_alphabet_index_of_unknown_symbol():
     a = alphabet_from_bytes(b"ab")
     with pytest.raises(TableError, match="not in alphabet"):
         a.index_of(ord("z"))
-
-
-def test_context_window_examples():
-    assert context_window((), 3) == ()
-    assert context_window((0, 1), 3) == (0, 1)
-    assert context_window((0, 1, 2, 0), 2) == (2, 0)
-    assert context_window((5,), 1) == (5,)
-
-
-def test_context_window_rejects_bad_order():
-    with pytest.raises(AdaptiveCodeError, match="order"):
-        context_window((0,), 0)
-
-
-def test_context_window_exhaustive_small():
-    for n in (1, 2, 3):
-        for length in range(7):
-            for value in range(3 ** length):
-                u = []
-                rest = value
-                for _ in range(length):
-                    u.append(rest % 3)
-                    rest //= 3
-                u = tuple(u)
-                expected = u if len(u) <= n else u[-n:]
-                assert context_window(u, n) == expected
-
-
-def test_context_window_matches_decoder_update_rule():
-    # Appending one symbol to a window and re-windowing equals the greedy
-    # decoder's update: extend while short, otherwise slide by one.
-    for n in (1, 2, 3):
-        for length in range(6):
-            for value in range(2 ** length):
-                u = tuple((value >> k) & 1 for k in range(length))
-                last = context_window(u, n)
-                for sym in (0, 1):
-                    if len(last) < n:
-                        stepped = last + (sym,)
-                    else:
-                        stepped = last[1:] + (sym,)
-                    assert context_window(u + (sym,), n) == stepped
 
 
 def test_iter_contexts_enumeration_order():
