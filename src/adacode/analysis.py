@@ -21,7 +21,9 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import fsum, log2
+from operator import eq, ne
 from typing import Sequence
 
 from .codec import encode
@@ -67,7 +69,7 @@ def _require_nonempty(w: bytes) -> None:
 def pair_stats(w: bytes) -> PairStats:
     """Positions (1-based) where a symbol repeats its predecessor's value."""
     _require_nonempty(w)
-    pairs = frozenset(i for i in range(1, len(w)) if w[i - 1] == w[i])
+    pairs = frozenset(compress(range(1, len(w)), map(eq, w, w[1:])))
     return PairStats(pairs=pairs, nrpairs=len(pairs), prate=Fraction(len(pairs), len(w)))
 
 
@@ -78,18 +80,21 @@ def eh_positions(w: bytes) -> frozenset[int]:
     shifted by one: i is a pair position iff i+1 is not in eh_positions.
     """
     _require_nonempty(w)
-    return frozenset(i for i in range(2, len(w) + 1) if w[i - 1] != w[i - 2])
+    return frozenset(compress(range(2, len(w) + 1), map(ne, w, w[1:])))
 
 
 def _frequencies(w: bytes) -> list[tuple[int, int]]:
     return sorted(Counter(w).items())
 
 
+def _entropy(freqs: list[tuple[int, int]], n: int) -> float:
+    return sum(f * log2(n / f) for _, f in freqs) / n
+
+
 def huffman_entropy(w: bytes) -> float:
     """Per-symbol entropy of the string's frequency distribution, in bits."""
     _require_nonempty(w)
-    n = len(w)
-    return sum(f * log2(n / f) for _, f in _frequencies(w)) / n
+    return _entropy(_frequencies(w), len(w))
 
 
 def huffman_rate(w: bytes) -> float:
@@ -158,7 +163,8 @@ def r_a_literal(w: bytes, table: CodeTable) -> float:
 def compare_report(w: bytes, table: CodeTable) -> AnalysisReport:
     """Every analysis figure for one string under one order-1 table."""
     encoded_bits, run_bits, transition_bits = _order1_pass(w, table)
-    huffman_bits = huffman_total_length(_frequencies(w))
+    freqs = _frequencies(w)
+    huffman_bits = huffman_total_length(freqs)
     n = len(w)
     return AnalysisReport(
         length=n,
@@ -168,7 +174,7 @@ def compare_report(w: bytes, table: CodeTable) -> AnalysisReport:
         r_a_literal=encoded_bits / n,
         huffman_total_bits=huffman_bits,
         huffman_rate=huffman_bits / n,
-        huffman_entropy=huffman_entropy(w),
+        huffman_entropy=_entropy(freqs, n),
         l_not_huffman=run_bits,
         l_huffman=transition_bits,
         h_a=run_bits + transition_bits,

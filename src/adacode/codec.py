@@ -3,8 +3,9 @@
 Encoding walks the input once, emitting the codeword of each symbol under
 the window of up to `order` preceding symbols. Decoding is greedy: because
 every context row it visits is a prefix code, at most one codeword can match
-the next bits, so the decoder walks a per-context binary trie and consumes
-each bit exactly once. The same decode loop serves the GA codes of adacode.ga.
+the next bits, so for each codeword length of the row, shortest first, the
+decoder looks the next that many bits up in the row's codeword dict, and the
+first hit is the symbol. The same decode loop serves the GA codes of adacode.ga.
 """
 
 from __future__ import annotations
@@ -92,36 +93,30 @@ def encode(table: CodeTable, data: bytes) -> str:
     return IncrementalEncoder(table).feed(data)
 
 
-def _trie(row: Iterable[tuple[int, str]]) -> dict | None:
-    """Trie of a row's (byte value, codeword) pairs, None if not a prefix code.
-    Inner nodes are dicts keyed by "0"/"1"; a leaf is [byte value, next trie]."""
-    root: dict = {}
-    for value, word in row:
-        node = root
-        for bit in word[:-1]:
-            node = node.setdefault(bit, {})
-            if node.__class__ is not dict:
-                return None
-        if word[-1] in node:
-            return None
-        node[word[-1]] = [value, None]
-    return root
+def _code(row: Iterable[tuple[int, str]]) -> tuple[dict[str, list], tuple[int, ...]]:
+    """A prefix-code row's (byte value, codeword) pairs as a dict from codeword
+    to cell [byte value, next code], and its distinct codeword lengths in
+    increasing order."""
+    words = {word: [value, None] for value, word in row}
+    return words, tuple(sorted({len(word) for word in words}))
 
 
 def _greedy_decode(
     bits: str,
     max_symbols: int | None,
     context: Callable[[int, memoryview], Hashable],
-    row: Callable[[Hashable, int], dict],
+    row: Callable[[Hashable, int], tuple],
     fixed_window: bool = False,
 ) -> DecodeTrace:
     """The greedy decode loop behind decode() and ga_decode().
 
     context(position, view) names the context of the symbol at a 1-based
     position from a read-only view of the output, whose first position-1 bytes
-    are decoded and never change. row(ctx, cursor) builds the context's trie on
-    first use or raises DecodeError. With fixed_window, the next context depends
-    only on the current one and the decoded symbol, so leaves cache their trie.
+    are decoded and never change. row(ctx, cursor) builds the context's code
+    (see _code) on first use or raises DecodeError. Each step looks up the
+    next k bits for each codeword length k of the row, shortest first. With
+    fixed_window, the next context depends only on the current one and the
+    decoded symbol, so cells cache their next code.
     """
     total = len(bits)
     if not is_bits(bits):
@@ -129,31 +124,31 @@ def _greedy_decode(
     out = bytearray(total if max_symbols is None else max(0, min(max_symbols, total)))
     view = memoryview(out).toreadonly()
     limit = len(out)
-    tries: dict = {}
+    codes: dict = {}
     cursor = count = 0
-    trie = leaf = None
+    code = cell = None
     while count < limit and cursor < total:
-        if trie is None:
+        if code is None:
             ctx = context(count + 1, view)
-            trie = tries.get(ctx)
-            if trie is None:
-                trie = tries[ctx] = row(ctx, cursor)
-            if fixed_window and leaf is not None:
-                leaf[1] = trie
-        start = cursor
-        node = trie
-        try:
-            while node.__class__ is dict:
-                node = node[bits[cursor]]
-                cursor += 1
-        except KeyError:
-            raise DecodeError(f"undecodable at bit offset {start}", start) from None
-        except IndexError:
-            raise DecodeError(f"truncated input at bit offset {start}", start) from None
-        out[count] = node[0]
+            code = codes.get(ctx)
+            if code is None:
+                code = codes[ctx] = row(ctx, cursor)
+            if fixed_window and cell is not None:
+                cell[1] = code
+        words, lengths = code
+        for k in lengths:
+            cell = words.get(bits[cursor : cursor + k])
+            if cell is not None:
+                break
+        else:
+            tail = bits[cursor : cursor + lengths[-1]]
+            if any(word.startswith(tail) for word in words):
+                raise DecodeError(f"truncated input at bit offset {cursor}", cursor)
+            raise DecodeError(f"undecodable at bit offset {cursor}", cursor)
+        out[count] = cell[0]
         count += 1
-        leaf = node
-        trie = node[1]
+        cursor += k
+        code = cell[1]
     return DecodeTrace(view[:count].tobytes(), count, cursor)
 
 
@@ -169,7 +164,7 @@ def decode(table: CodeTable, bits: str, max_symbols: int | None = None) -> Decod
             "table has a context row that is not a prefix code; decoding refused"
         )
 
-    def row(window: bytes, cursor: int) -> dict:
+    def row(window: bytes, cursor: int) -> tuple:
         ctx = tuple(map(table.alphabet.index_of, window))
         if ctx not in table.rows:
             raise DecodeError(
@@ -177,7 +172,7 @@ def decode(table: CodeTable, bits: str, max_symbols: int | None = None) -> Decod
                 f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}",
                 cursor,
             )
-        return _trie(zip(table.alphabet.symbols, table.rows[ctx]))
+        return _code(zip(table.alphabet.symbols, table.rows[ctx]))
 
     def window(position: int, view: memoryview) -> bytes:
         return view[max(0, position - 1 - table.order) : position - 1].tobytes()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .codec import DecodeError, EncodeError, _greedy_decode, _trie
+from .codec import DecodeError, EncodeError, _code, _greedy_decode
 from .core import (
     AdaptiveCodeError,
     Alphabet,
@@ -23,6 +23,7 @@ from .core import (
     _check_codeword,
     format_context,
 )
+from .prefix import is_prefix_code
 
 Symbols = tuple[int, ...]
 _BYTE_VALUES = Alphabet(tuple(range(256)))  # format_context over byte values
@@ -121,16 +122,15 @@ def ga_decode(code: GACode, bits: str) -> bytes:
     """Greedy inverse of ga_encode. Each visited context row is checked to be
     a prefix code the first time it is used; other rows are never inspected."""
 
-    def row(ctx: Symbols, cursor: int) -> dict:
+    def row(ctx: Symbols, cursor: int) -> tuple:
         words = code._rows.get(ctx)
+        if words is not None and is_prefix_code(words.values()):
+            return _code(words.items())
         name = format_context(_BYTE_VALUES, ctx)
         if words is None:
             raise DecodeError(
                 f"no codewords for context '{name}' at bit offset {cursor}", cursor
             )
-        trie = _trie(words.items())
-        if trie is None:
-            raise DecodeError(f"non-prefix row at visited context '{name}'")
-        return trie
+        raise DecodeError(f"non-prefix row at visited context '{name}'")
 
     return _greedy_decode(bits, None, code.function, row).output

@@ -1,10 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles deliberately avoid the library's own code paths: the Huffman
-oracle enumerates Kraft-feasible length assignments, the decoder oracle
-scans rows linearly instead of walking tries, and the run-cost and
-transition-cost oracles transliterate the defining formulas position by
-position.
+oracle enumerates Kraft-feasible length assignments, the decoder oracles
+scan rows linearly instead of looking codewords up by length, and the
+run-cost and transition-cost oracles transliterate the defining formulas
+position by position.
 """
 
 from __future__ import annotations
@@ -78,28 +78,52 @@ def random_string(rng: random.Random, alphabet: Alphabet, length: int) -> bytes:
     return bytes(rng.choice(alphabet.symbols) for _ in range(length))
 
 
-def scan_decode(table: CodeTable, bits: str) -> tuple[bytes, int]:
-    """Naive decoder oracle: linear scan of each context row per step.
-
-    Returns (output, iterations). Raises AssertionError on ambiguity or
-    failure, since oracle inputs are always valid encodings.
-    """
+def scan_decode_outcome(table: CodeTable, bits: str) -> bytes | tuple[str, int]:
+    """Naive decoder oracle for any bit string: the decoded bytes, or
+    (kind, bit offset) of the first failure, kind being "truncated" (the
+    remaining bits are a proper prefix of a codeword of the row),
+    "undecodable" (no codeword of the row matches or could match) or
+    "missing row" (the context has no row)."""
     window: list[int] = []
     out: list[int] = []
     cursor = 0
-    iterations = 0
     while cursor < len(bits):
-        row = table.rows[tuple(window)]
+        row = table.rows.get(tuple(window))
+        if row is None:
+            return ("missing row", cursor)
         matches = [i for i, word in enumerate(row) if bits.startswith(word, cursor)]
-        assert len(matches) == 1, f"expected exactly one match, got {matches}"
-        index = matches[0]
-        out.append(index)
-        cursor += len(row[index])
-        iterations += 1
-        window.append(index)
+        if not matches:
+            rest = bits[cursor:]
+            if any(word.startswith(rest) and word != rest for word in row):
+                return ("truncated", cursor)
+            return ("undecodable", cursor)
+        assert len(matches) == 1, f"expected at most one match, got {matches}"
+        out.append(matches[0])
+        cursor += len(row[matches[0]])
+        window.append(matches[0])
         if len(window) > table.order:
             del window[0]
-    return table.alphabet.to_bytes(out), iterations
+    return table.alphabet.to_bytes(out)
+
+
+def scan_decode(table: CodeTable, bits: str) -> tuple[bytes, int]:
+    """scan_decode_outcome for valid encodings: (output, iterations), and
+    AssertionError on any failure."""
+    out = scan_decode_outcome(table, bits)
+    assert isinstance(out, bytes), f"expected a valid encoding, got {out}"
+    return out, len(out)
+
+
+def unary_table() -> CodeTable:
+    """Order-1 table over all 256 byte values whose every row is the unary
+    code "0", "10", ..., "1"*254 + "0", "1"*255: 255 distinct codeword
+    lengths, up to the container maximum of 255 bits."""
+    row = tuple("1" * k + "0" for k in range(255)) + ("1" * 255,)
+    return CodeTable(
+        alphabet=Alphabet(tuple(range(256))),
+        order=1,
+        rows={ctx: row for ctx in iter_contexts(256, 1)},
+    )
 
 
 def brute_force_huffman_total(frequencies: list[int]) -> int:

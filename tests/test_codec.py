@@ -7,12 +7,19 @@ import pytest
 from adacode import (
     DecodeError,
     EncodeError,
+    GACode,
     IncrementalEncoder,
     alphabet_from_bytes,
     decode,
+    decode_payload,
     encode,
+    ga_decode,
+    lookup_from_table,
+    order_n_function,
     prefix_predicate,
+    read_container,
     table_get,
+    write_container,
 )
 from adacode.builder import build_order1
 
@@ -22,6 +29,7 @@ from helpers import (
     random_string,
     random_table,
     scan_decode,
+    unary_table,
 )
 
 
@@ -139,11 +147,15 @@ def test_decode_max_symbols():
 
 def test_roundtrip_random_tables_and_oracle():
     rng = random.Random(97)
+    cases = []
     for _ in range(150):
-        order = rng.randint(1, 3)
-        size = rng.randint(2, 5)
-        table = random_table(rng, order, size)
-        w = random_string(rng, table.alphabet, rng.randint(0, 60))
+        table = random_table(rng, rng.randint(1, 3), rng.randint(2, 5))
+        cases.append((table, random_string(rng, table.alphabet, rng.randint(0, 60))))
+    # every codeword length from 1 to 255 bits, the longest ones included
+    unary = unary_table()
+    long_words = random_string(rng, unary.alphabet, 200) + b"\xff\xfe\xff\x00"
+    cases.append((unary, long_words))
+    for table, w in cases:
         bits = encode(table, w)
         trace = decode(table, bits)
         assert trace.output == w
@@ -152,6 +164,11 @@ def test_roundtrip_random_tables_and_oracle():
         oracle_out, oracle_iterations = scan_decode(table, bits)
         assert oracle_out == w
         assert oracle_iterations == len(w)
+    n, bits = len(long_words), encode(unary, long_words)
+    content = read_container(write_container(unary, n, bits, builder_mode=False))
+    assert decode_payload(content.table, content.payload_bits, n) == long_words
+    code = GACode(order_n_function(1), lookup_from_table(unary))
+    assert ga_decode(code, bits) == long_words
 
 
 def test_iteration_count_formula():

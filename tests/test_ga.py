@@ -1,6 +1,7 @@
 """Generalized coding layer: context rules, lookups, encode/decode."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,12 @@ from adacode import (
 )
 from adacode.builder import build_order1
 
-from helpers import example_order2_table, random_string, random_table
+from helpers import (
+    example_order2_table,
+    random_string,
+    random_table,
+    scan_decode_outcome,
+)
 
 
 def test_order_n_function_examples():
@@ -196,10 +202,17 @@ def test_ga_roundtrip_order1(w):
 
 
 def _outcome(run):
+    """The decoded bytes, or (kind, bit offset) as scan_decode_outcome names them."""
     try:
         return run()
     except DecodeError as exc:
-        return ("error", exc.bit_offset)
+        message = str(exc)
+        if message.startswith("truncated input at bit offset"):
+            return ("truncated", exc.bit_offset)
+        if message.startswith("undecodable at bit offset"):
+            return ("undecodable", exc.bit_offset)
+        assert message.startswith("no codeword"), message
+        return ("missing row", exc.bit_offset)
 
 
 def test_ga_and_table_decoders_fail_at_the_same_bit_offset():
@@ -222,6 +235,35 @@ def test_ga_and_table_decoders_fail_at_the_same_bit_offset():
             assert _outcome(lambda: ga_decode(code, damaged)) == table_result
             failures += isinstance(table_result, tuple)
     assert failures > 50
+
+
+def test_decoders_match_the_scan_oracle_on_incomplete_rows():
+    rng = random.Random(43)
+    kinds = Counter()
+    for _ in range(200):
+        order = rng.randint(1, 3)
+        table = random_table(rng, order, rng.randint(2, 5))
+        rows = {}
+        for ctx, row in table.rows.items():
+            # lengthening one codeword leaves a prefix code with a hole in it
+            words = list(row)
+            words[rng.randrange(len(words))] += "0"
+            rows[ctx] = tuple(words)
+        table = CodeTable(alphabet=table.alphabet, order=order, rows=rows)
+        bits = encode(table, random_string(rng, table.alphabet, rng.randint(1, 40)))
+        if rng.random() < 0.25:
+            dropped = rng.choice([ctx for ctx in rows if ctx])
+            rows = {ctx: row for ctx, row in rows.items() if ctx != dropped}
+            table = CodeTable(alphabet=table.alphabet, order=order, rows=rows)
+        code = GACode(order_n_function(order), lookup_from_table(table))
+        flip = rng.randrange(len(bits))
+        flipped = bits[:flip] + "10"[int(bits[flip])] + bits[flip + 1 :]
+        for damaged in (bits[: rng.randrange(len(bits))], flipped):
+            expected = scan_decode_outcome(table, damaged)
+            assert _outcome(lambda: decode(table, damaged).output) == expected
+            assert _outcome(lambda: ga_decode(code, damaged)) == expected
+            kinds[expected[0] if isinstance(expected, tuple) else "decoded"] += 1
+    assert min(kinds[k] for k in ("truncated", "undecodable", "missing row")) >= 20, kinds
 
 
 def test_rules_get_a_readonly_view_of_exactly_the_prior_symbols():
