@@ -18,7 +18,11 @@ Container layout, all integers big-endian:
     payload encoded bits, MSB-first, zero-padded to a byte boundary
 
 Mode 0x00 stores no table; the reader rebuilds it with build_order1 from
-the alphabet, which requires order 1 and at least two symbols. The payload
+the alphabet, which requires order 1 and at least two symbols. Explicit
+tables are read and written once per distinct codeword encoding: the rows
+of an order-n table repeat a few codewords many times, so the writer packs
+each distinct codeword once and the reader unpacks each distinct run of
+length byte and bits once, and rows share the resulting strings. The payload
 length in bits is not stored: the reader decodes exactly s symbols and
 treats leftover bits as padding, which must be fewer than 8 and all zero.
 
@@ -40,6 +44,7 @@ is \\xNN. Lines starting with # and blank lines are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .builder import build_order1
 from .codec import decode
@@ -104,8 +109,7 @@ class ContainerContent:
     builder_mode: bool
 
 
-def _check_container_alphabet(alphabet: Alphabet) -> None:
-    values = alphabet.symbols
+def _check_container_alphabet(values: Sequence[int]) -> None:
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ContainerError("container alphabets must be strictly increasing byte values")
 
@@ -134,7 +138,7 @@ def write_container(
         raise ContainerError("symbol count out of range")
     if not 1 <= table.order <= 255:
         raise ContainerError("container order must be between 1 and 255")
-    _check_container_alphabet(table.alphabet)
+    _check_container_alphabet(table.alphabet.symbols)
     if builder_mode is None:
         builder_mode = _is_builder_table(table)
     elif builder_mode and not _is_builder_table(table):
@@ -154,18 +158,23 @@ def write_container(
     out += symbol_count.to_bytes(8, "big")
     out.append(MODE_BUILDER if builder_mode else MODE_EXPLICIT)
     if not builder_mode:
+        # codeword -> its length byte and packed bits; rows repeat codewords
+        encoded: dict[Codeword, bytes] = {}
         for ctx in iter_contexts(h, table.order):
             for word in table.rows[ctx]:
-                if len(word) > 255:
-                    raise ContainerError("codeword longer than 255 bits")
-                out.append(len(word))
-                out += pack_bits(word).data
+                raw = encoded.get(word)
+                if raw is None:
+                    if len(word) > 255:
+                        raise ContainerError("codeword longer than 255 bits")
+                    raw = encoded[word] = bytes((len(word),)) + pack_bits(word).data
+                out += raw
     out += pack_bits(payload_bits).data
     return bytes(out)
 
 
 def read_container(data: bytes) -> ContainerContent:
     """Parse container bytes back into a table, symbol count, and payload."""
+    data = bytes(data)  # codeword slices key a dict, so they must be hashable
     cursor = 0
 
     def take(count: int) -> bytes:
@@ -187,8 +196,9 @@ def read_container(data: bytes) -> ContainerContent:
     h = int.from_bytes(take(2), "big")
     if h < 1:
         raise ContainerError("container alphabet must be nonempty")
-    alphabet = Alphabet(tuple(take(h)))
-    _check_container_alphabet(alphabet)
+    values = take(h)
+    _check_container_alphabet(values)
+    alphabet = Alphabet(tuple(values))
     symbol_count = int.from_bytes(take(8), "big")
     mode = take(1)[0]
     if mode == MODE_BUILDER:
@@ -204,13 +214,27 @@ def read_container(data: bytes) -> ContainerContent:
                 f"bytes, {len(data) - cursor} remain"
             )
         rows: dict[Context, tuple[Codeword, ...]] = {}
+        # a codeword's raw bytes (length byte and packed bits) -> its bits. A
+        # slice cut short by the end of data is shorter than every key.
+        decoded: dict[bytes, Codeword] = {}
+        size = len(data)
         for ctx in iter_contexts(h, order):
             row = []
             for _ in range(h):
+                if cursor < size:
+                    raw = data[cursor : cursor + 1 + (data[cursor] + 7) // 8]
+                    word = decoded.get(raw)
+                    if word is not None:
+                        cursor += len(raw)
+                        row.append(word)
+                        continue
+                start = cursor
                 length = take(1)[0]
                 if length == 0:
                     raise ContainerError("codeword length 0")
-                row.append(unpack_bits(PackedBits(take((length + 7) // 8), length)))
+                word = unpack_bits(PackedBits(take((length + 7) // 8), length))
+                decoded[data[start:cursor]] = word
+                row.append(word)
             rows[ctx] = tuple(row)
         table = CodeTable(alphabet=alphabet, order=order, rows=rows)
     else:
@@ -313,6 +337,11 @@ def table_from_text(text: str) -> CodeTable:
     alphabet = Alphabet(tuple(values))
 
     cells: dict[Context, dict[int, str]] = {}
+    # Fields repeat from line to line. Only fields that passed their checks
+    # are remembered, so an error still names the first line that has it.
+    contexts: dict[str, Context] = {}
+    symbols: dict[str, int] = {}
+    codewords: set[str] = set()
     for line_no, line in entries[2:]:
         fields = line.split()
         if len(fields) != 3:
@@ -320,25 +349,37 @@ def table_from_text(text: str) -> CodeTable:
                 f"line {line_no}: expected '<context> <symbol> <bits>', got '{line}'"
             )
         ctx_field, symbol_field, bits = fields
-        if ctx_field == "~":
-            ctx: Context = ()
-        else:
-            ctx_values = _parse_symbol_values(ctx_field, line_no)
+        ctx = contexts.get(ctx_field)
+        if ctx is None:
+            if ctx_field == "~":
+                ctx = ()
+            else:
+                ctx_values = _parse_symbol_values(ctx_field, line_no)
+                try:
+                    ctx = tuple(alphabet.index_of(v) for v in ctx_values)
+                except TableError as exc:
+                    raise TableError(f"line {line_no}: {exc}") from None
+            if len(ctx) > order:
+                raise TableError(f"line {line_no}: context longer than order {order}")
+            contexts[ctx_field] = ctx
+        symbol = symbols.get(symbol_field)
+        if symbol is None:
+            symbol_values = _parse_symbol_values(symbol_field, line_no)
+            if len(symbol_values) != 1:
+                raise TableError(
+                    f"line {line_no}: expected a single symbol, got '{symbol_field}'"
+                )
             try:
-                ctx = tuple(alphabet.index_of(v) for v in ctx_values)
+                symbol = alphabet.index_of(symbol_values[0])
             except TableError as exc:
                 raise TableError(f"line {line_no}: {exc}") from None
-        if len(ctx) > order:
-            raise TableError(f"line {line_no}: context longer than order {order}")
-        symbol_values = _parse_symbol_values(symbol_field, line_no)
-        if len(symbol_values) != 1:
-            raise TableError(f"line {line_no}: expected a single symbol, got '{symbol_field}'")
-        try:
-            symbol = alphabet.index_of(symbol_values[0])
-        except TableError as exc:
-            raise TableError(f"line {line_no}: {exc}") from None
-        if not bits or not is_bits(bits):
-            raise TableError(f"line {line_no}: codeword must be nonempty bits, got '{bits}'")
+            symbols[symbol_field] = symbol
+        if bits not in codewords:
+            if not bits or not is_bits(bits):
+                raise TableError(
+                    f"line {line_no}: codeword must be nonempty bits, got '{bits}'"
+                )
+            codewords.add(bits)
         row = cells.setdefault(ctx, {})
         if symbol in row:
             raise TableError(

@@ -130,6 +130,8 @@ class CodeTable:
             raise TableError("table order must be at least 1")
         h = self.alphabet.size
         normalized: dict[Context, tuple[Codeword, ...]] = {}
+        # rows repeat codewords: check each distinct one once, in row order
+        checked: set[Codeword] = set()
         for raw_ctx, raw_row in self.rows.items():
             ctx = tuple(raw_ctx)
             if len(ctx) > self.order:
@@ -145,7 +147,10 @@ class CodeTable:
                     f"{len(row)} codewords, expected {h}"
                 )
             for word in row:
-                _check_codeword(word)
+                # a non-str word, possibly unhashable, never reaches the set
+                if not (isinstance(word, str) and word in checked):
+                    _check_codeword(word)
+                    checked.add(word)
             normalized[ctx] = row
         if EMPTY_CONTEXT not in normalized:
             raise TableError("table must define the empty-context row")

@@ -181,3 +181,25 @@ def literal_l_not_huffman(w: bytes, table: CodeTable) -> int:
         if w[i] == w[i - 1]:
             total += len(table.rows[(index(w[i - 1]),)][index(w[i])])
     return total
+
+
+def explicit_table_bytes(table: CodeTable) -> bytes:
+    """Independent serializer of an explicit container's table section: for
+    each context, shortest first and then in index order, each codeword as a
+    length byte followed by its bits, eight to a byte, most significant bit
+    first, the last byte padded with zero bits."""
+    packed: dict[str, bytes] = {}  # only to keep large tables fast
+    out = bytearray()
+    for ctx in sorted(table.rows, key=lambda c: (len(c), c)):
+        for word in table.rows[ctx]:
+            if word not in packed:
+                cell = bytearray([len(word)])
+                for start in range(0, len(word), 8):
+                    value = 0
+                    for position, bit in enumerate(word[start : start + 8]):
+                        if bit == "1":
+                            value |= 0x80 >> position
+                    cell.append(value)
+                packed[word] = bytes(cell)
+            out += packed[word]
+    return bytes(out)

@@ -171,6 +171,16 @@ def test_decode_corrupt_container(tmp_path, capsysbinary):
     assert b"bad magic" in out.err
 
 
+def test_decode_repeated_alphabet_byte(tmp_path, capsys):
+    blob = b"ADC1" + bytes([1, 1]) + (2).to_bytes(2, "big") + b"aa"
+    cont = tmp_path / "c.bin"
+    cont.write_bytes(blob + (0).to_bytes(8, "big") + bytes([0]))
+    assert main(["decode", str(cont)]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "adacode: container alphabets must be strictly increasing byte values\n"
+
+
 def test_decode_trailing_garbage(tmp_path, capsys):
     table = build_order1(alphabet_from_bytes(b"ab"))
     blob = write_container(table, 4, encode(table, b"abba")) + b"\xff"

@@ -3,17 +3,19 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adacode import (
     Alphabet,
     CodeTable,
+    ContainerContent,
     ContainerError,
     PackedBits,
     TableError,
     alphabet_from_bytes,
     decode_payload,
     encode,
+    iter_contexts,
     pack_bits,
     prefix_predicate,
     read_container,
@@ -26,9 +28,11 @@ from adacode.builder import build_order1
 
 from helpers import (
     example_order2_table,
+    explicit_table_bytes,
     nonprefix_order2_table,
     random_string,
     random_table,
+    unary_table,
 )
 
 W1 = b"abbbcabccaabccabbcba"
@@ -217,6 +221,13 @@ def test_read_container_errors():
         read_container(bytes(bad))
 
     bad = bytearray(blob)
+    bad[9] = bad[8]  # alphabet "aac"
+    with pytest.raises(
+        ContainerError, match="^container alphabets must be strictly increasing byte values$"
+    ):
+        read_container(bytes(bad))
+
+    bad = bytearray(blob)
     bad[19] = 0x05
     with pytest.raises(ContainerError, match="unknown table mode 0x05"):
         read_container(bytes(bad))
@@ -348,6 +359,16 @@ def test_table_text_parse_errors():
         table_from_text("order 1\nalphabet a\u0100\n")
     with pytest.raises(TableError, match="incomplete row for context '~'"):
         table_from_text("order 1\nalphabet ab\n~ a 0\n")
+    # a field that repeats across lines reports the first line with the error
+    with pytest.raises(TableError, match="^line 3: symbol c not in alphabet$"):
+        table_from_text("order 1\nalphabet ab\nc a 0\n~ a 0\nc b 1\n")
+    with pytest.raises(TableError, match="^line 4: codeword must be nonempty bits, got '1x'$"):
+        table_from_text("order 1\nalphabet ab\n~ a 0\n~ b 1x\na a 1x\n")
+    # context field 'a' is first seen on line 3; its duplicate cell is on line 6
+    with pytest.raises(
+        TableError, match="^line 6: duplicate cell for context 'a' and symbol 'a'$"
+    ):
+        table_from_text("order 1\nalphabet ab\na a 0\na b 1\n~ a 0\na a 1\n")
 
 
 def test_random_tables_roundtrip_both_formats():
@@ -391,3 +412,123 @@ def test_read_container_sizes_explicit_table_before_parsing(monkeypatch):
     assert read_container(blob).table == t
     with pytest.raises(ContainerError, match="explicit table needs at least"):
         read_container(blob[:-1])
+
+
+def _shared_codeword_table(rng: random.Random, order: int, size: int) -> CodeTable:
+    """A total table whose rows draw most codewords from a small shared pool
+    and a few unique ones of up to 255 bits. Rows need not be prefix codes:
+    the container stores any table."""
+
+    def bits(length: int) -> str:
+        return "".join(rng.choice("01") for _ in range(length))
+
+    pool = [bits(rng.choice((1, 2, 3, 7, 8, 9, 16, 17, 255))) for _ in range(rng.randint(1, 4))]
+    rows = {
+        ctx: tuple(
+            bits(rng.randint(1, 255)) if rng.random() < 0.1 else rng.choice(pool)
+            for _ in range(size)
+        )
+        for ctx in iter_contexts(size, order)
+    }
+    symbols = tuple(sorted(rng.sample(range(256), size)))
+    return CodeTable(alphabet=Alphabet(symbols), order=order, rows=rows)
+
+
+def test_explicit_table_section_matches_independent_serializer():
+    rng = random.Random(41)
+    tables = [
+        _shared_codeword_table(rng, rng.randint(1, 2), rng.randint(2, 6)) for _ in range(30)
+    ]
+    for table in tables + [unary_table()]:
+        blob = write_container(table, 0, "", builder_mode=False)
+        header = 17 + table.alphabet.size
+        assert blob[header:] == explicit_table_bytes(table)
+        assert read_container(blob).table == table
+
+
+def _repeated_codeword_container() -> bytes:
+    """An explicit order-1 container over {a, b} whose six codewords are all
+    the same 9 bits: a length byte and two bytes each, no payload."""
+    word = "101010101"
+    table = CodeTable(
+        alphabet=Alphabet((97, 98)),
+        order=1,
+        rows={ctx: (word, word) for ctx in iter_contexts(2, 1)},
+    )
+    return write_container(table, 0, "", builder_mode=False)
+
+
+def test_read_container_cut_short_after_repeated_codewords():
+    blob = _repeated_codeword_container()
+    assert len(blob) == 19 + 6 * 3
+    # the last codeword keeps its length byte but loses a byte of bits; the
+    # table still clears the up-front size check of 2 bytes per codeword
+    with pytest.raises(ContainerError) as info:
+        read_container(blob[:-1])
+    assert str(info.value) == "truncated container"
+
+
+def test_read_container_zero_length_after_repeated_codewords():
+    blob = bytearray(_repeated_codeword_container())
+    blob[19 + 3 * 3] = 0  # the fourth codeword's length byte
+    with pytest.raises(ContainerError) as info:
+        read_container(bytes(blob))
+    assert str(info.value) == "codeword length 0"
+
+
+def _fuzz_container() -> bytes:
+    """A small explicit order-2 container over {a, b, c} with one- and
+    two-byte codewords and a payload."""
+    rows = {ctx: ("0", "10", "11") for ctx in iter_contexts(3, 2)}
+    rows[(0,)] = ("1", "01", "001111111111")
+    rows[(2, 1)] = ("10", "0", "11")
+    table = CodeTable(alphabet=alphabet_from_bytes(b"abc"), order=2, rows=rows)
+    data = b"abcaacbbacab"
+    return write_container(table, len(data), encode(table, data))
+
+
+FUZZ_CONTAINER = _fuzz_container()
+
+
+def _mutated_containers() -> st.SearchStrategy[bytes]:
+    size = len(FUZZ_CONTAINER)
+    cuts = st.integers(0, size - 1).map(lambda n: FUZZ_CONTAINER[:n])
+    substitutions = st.tuples(st.integers(0, size - 1), st.integers(0, 255)).map(
+        lambda change: FUZZ_CONTAINER[: change[0]]
+        + bytes([change[1]])
+        + FUZZ_CONTAINER[change[0] + 1 :]
+    )
+    return st.one_of(cuts, substitutions)
+
+
+@given(_mutated_containers())
+@example(FUZZ_CONTAINER[:9] + b"a" + FUZZ_CONTAINER[10:])  # alphabet "aac"
+@example(FUZZ_CONTAINER[:8] + b"b" + FUZZ_CONTAINER[9:])  # alphabet "bbc"
+@settings(max_examples=300, deadline=None)
+def test_read_container_fuzz_raises_only_container_errors(blob):
+    try:
+        content = read_container(blob)
+    except ContainerError:
+        return
+    assert isinstance(content, ContainerContent)
+
+
+TABLE_TOKENS = (
+    "~", "a", "b", "c", "ab", "aa", "\\x61", "\\x6", "\\xZZ", "\\", "\u0100",
+    "0", "1", "01", "10", "0x", "2", "#", "order", "alphabet",
+)
+
+
+@given(
+    st.sampled_from(("order 1", "order 2", "order 0", "order x", "order", "ordre 1")),
+    st.sampled_from(("alphabet ab", "alphabet aa", "alphabet \\x61b", "alphabet \\xZ", "alphabet")),
+    st.lists(st.lists(st.sampled_from(TABLE_TOKENS), min_size=0, max_size=4), max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_table_from_text_fuzz_raises_only_table_errors(order_line, alphabet_line, cells):
+    text = "\n".join([order_line, alphabet_line] + [" ".join(cell) for cell in cells])
+    try:
+        table = table_from_text(text)
+    except TableError:
+        return
+    assert isinstance(table, CodeTable)

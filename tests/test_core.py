@@ -110,6 +110,12 @@ def test_code_table_validates_rows():
         CodeTable(alphabet=a, order=1, rows={(): ("0", "")})
     with pytest.raises(TableError, match="nonempty string of 0/1"):
         CodeTable(alphabet=a, order=1, rows={(): ("0", "12")})
+    # the first bad codeword in row order is the one reported
+    with pytest.raises(TableError, match="got '1x'$"):
+        CodeTable(alphabet=a, order=1, rows={(): ("0", "1"), (0,): ("1x", ""), (1,): ("", "2")})
+    # a codeword that is not a str, here an unhashable list
+    with pytest.raises(TableError, match=r"got \['1'\]$"):
+        CodeTable(alphabet=a, order=1, rows={(): ("0", "1"), (0,): ("0", ["1"])})
     with pytest.raises(TableError, match="exceeds table order"):
         CodeTable(alphabet=a, order=1, rows={(): ("0", "1"), (0, 1): ("0", "1")})
     with pytest.raises(TableError, match="out of range"):
