@@ -9,9 +9,7 @@ generalized layer with pluggable context rules, on-disk formats, and a CLI.
 """
 
 from .analysis import (
-    AnalysisReport,
     CSV_COLUMNS,
-    PairStats,
     compare_report,
     eh_positions,
     h_a,
@@ -28,7 +26,6 @@ from .analysis import (
 from .builder import build_order1
 from .codec import (
     DecodeError,
-    DecodeTrace,
     EncodeError,
     IncrementalEncoder,
     decode,
@@ -51,9 +48,6 @@ from .core import (
     AdaptiveCodeError,
     Alphabet,
     CodeTable,
-    Codeword,
-    Context,
-    EMPTY_CONTEXT,
     TableError,
     alphabet_from_bytes,
     format_context,
@@ -70,7 +64,6 @@ from .ga import (
     order_n_function,
 )
 from .prefix import (
-    HuffmanResult,
     huffman_build,
     huffman_total_length,
     is_prefix_code,
@@ -84,22 +77,15 @@ __all__ = [
     "AdaptiveCodeError",
     "AdaptiveFunction",
     "Alphabet",
-    "AnalysisReport",
     "CSV_COLUMNS",
     "CodeTable",
-    "Codeword",
     "ContainerContent",
     "ContainerError",
-    "Context",
     "DecodeError",
-    "DecodeTrace",
-    "EMPTY_CONTEXT",
     "EncodeError",
     "GACode",
-    "HuffmanResult",
     "IncrementalEncoder",
     "PackedBits",
-    "PairStats",
     "TableError",
     "alphabet_from_bytes",
     "build_order1",

@@ -19,12 +19,13 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import fsum, log2
 from operator import eq, ne
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .codec import encode
 from .core import AdaptiveCodeError, CodeTable, EMPTY_CONTEXT, TableError
@@ -46,11 +47,11 @@ class PairStats:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """All per-string figures produced by compare_report."""
+    """All per-string figures produced by compare_report. The position sets
+    stats and eh, one int per position, are built from w on first use."""
 
     length: int
-    stats: PairStats
-    eh: frozenset[int]
+    nrpairs: int
     encoded_bits: int
     r_a_literal: float
     huffman_total_bits: int
@@ -59,6 +60,15 @@ class AnalysisReport:
     l_not_huffman: int
     l_huffman: float
     h_a: float
+    w: bytes = field(repr=False)
+
+    @cached_property
+    def stats(self) -> PairStats:
+        return pair_stats(self.w)
+
+    @cached_property
+    def eh(self) -> frozenset[int]:
+        return eh_positions(self.w)
 
 
 def _require_nonempty(w: bytes) -> None:
@@ -113,9 +123,10 @@ def _transition_bits(pairs: Counter) -> float:
     return fsum(f * (1.0 + log2(into[b] / f)) for (a, b), f in pairs.items() if a != b)
 
 
-def _order1_pass(w: bytes, table: CodeTable) -> tuple[int, int, float]:
-    """(encoded bits, run bits, transition bits) of w under an order-1 table,
-    from one count of adjacent pairs and the table's codeword lengths."""
+def _order1_pass(w: bytes, table: CodeTable) -> tuple[int, int, float, int]:
+    """(encoded bits, run bits, transition bits, nrpairs) of w under an
+    order-1 table, from one count of adjacent pairs and the table's codeword
+    lengths."""
     _require_nonempty(w)
     if table.order != 1:
         raise TableError("this analysis requires an order-1 table")
@@ -123,15 +134,17 @@ def _order1_pass(w: bytes, table: CodeTable) -> tuple[int, int, float]:
     rows, index_of = table.rows, table.alphabet.index_of
     try:
         encoded = run = len(rows[EMPTY_CONTEXT][index_of(w[0])])
+        nrpairs = 0
         for (a, b), f in pairs.items():
             bits = f * len(rows[(index_of(a),)][index_of(b)])
             encoded += bits
             if a == b:
                 run += bits
+                nrpairs += f
     except (KeyError, TableError):
         encode(table, w)  # raises the encoder's positioned EncodeError
         raise
-    return encoded, run, _transition_bits(pairs)
+    return encoded, run, _transition_bits(pairs), nrpairs
 
 
 def l_not_huffman(w: bytes, table: CodeTable) -> int:
@@ -151,7 +164,7 @@ def l_huffman(w: bytes) -> float:
 
 def h_a(w: bytes, table: CodeTable) -> float:
     """Adaptive entropy estimate: run bits plus estimated transition bits."""
-    _, run_bits, transition_bits = _order1_pass(w, table)
+    _, run_bits, transition_bits, _ = _order1_pass(w, table)
     return run_bits + transition_bits
 
 
@@ -162,14 +175,13 @@ def r_a_literal(w: bytes, table: CodeTable) -> float:
 
 def compare_report(w: bytes, table: CodeTable) -> AnalysisReport:
     """Every analysis figure for one string under one order-1 table."""
-    encoded_bits, run_bits, transition_bits = _order1_pass(w, table)
+    encoded_bits, run_bits, transition_bits, nrpairs = _order1_pass(w, table)
     freqs = _frequencies(w)
     huffman_bits = huffman_total_length(freqs)
     n = len(w)
     return AnalysisReport(
         length=n,
-        stats=pair_stats(w),
-        eh=eh_positions(w),
+        nrpairs=nrpairs,
         encoded_bits=encoded_bits,
         r_a_literal=encoded_bits / n,
         huffman_total_bits=huffman_bits,
@@ -178,6 +190,7 @@ def compare_report(w: bytes, table: CodeTable) -> AnalysisReport:
         l_not_huffman=run_bits,
         l_huffman=transition_bits,
         h_a=run_bits + transition_bits,
+        w=w,
     )
 
 
@@ -201,8 +214,8 @@ def _csv_row(name: str, r: AnalysisReport) -> list[str]:
     return [
         name,
         str(r.length),
-        str(r.stats.nrpairs),
-        f"{float(r.stats.prate):.6f}",
+        str(r.nrpairs),
+        f"{r.nrpairs / r.length:.6f}",
         str(r.encoded_bits),
         str(r.huffman_total_bits),
         f"{r.huffman_entropy:.6f}",
@@ -247,12 +260,12 @@ def render_comparison(rows: Sequence[tuple[str, AnalysisReport]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _positions_text(positions: frozenset[int]) -> str:
-    if len(positions) > 32:
-        return f"({len(positions)} positions)"
-    if not positions:
-        return "{}"
-    return "{" + ",".join(str(i) for i in sorted(positions)) + "}"
+def _positions_text(count: int, positions: Callable[[], frozenset[int]]) -> str:
+    """The positions in braces, or only their count when there are over 32,
+    in which case the set is never built."""
+    if count > 32:
+        return f"({count} positions)"
+    return "{" + ",".join(str(i) for i in sorted(positions())) + "}"
 
 
 def render_stats(name: str, r: AnalysisReport) -> str:
@@ -265,10 +278,10 @@ def render_stats(name: str, r: AnalysisReport) -> str:
     lines = [
         f"string-id: {name}",
         f"length: {r.length}",
-        f"pairs: {_positions_text(r.stats.pairs)}",
-        f"nrpairs: {r.stats.nrpairs}",
-        f"prate: {float(r.stats.prate):.6f}",
-        f"eh: {_positions_text(r.eh)}",
+        f"pairs: {_positions_text(r.nrpairs, lambda: r.stats.pairs)}",
+        f"nrpairs: {r.nrpairs}",
+        f"prate: {r.nrpairs / r.length:.6f}",
+        f"eh: {_positions_text(r.length - 1 - r.nrpairs, lambda: r.eh)}",
         f"adaptive_bits: {r.encoded_bits}",
         f"huffman_bits: {r.huffman_total_bits}",
         f"H: {r.huffman_entropy:.6f}",

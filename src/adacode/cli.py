@@ -23,7 +23,7 @@ from .container import (
     table_to_text,
     write_container,
 )
-from .core import AdaptiveCodeError, Alphabet, alphabet_from_bytes, format_context
+from .core import AdaptiveCodeError, Alphabet, TableError, alphabet_from_bytes, format_context
 from .prefix import prefix_violation
 
 EXIT_OK = 0
@@ -76,9 +76,17 @@ def _resolve_alphabet(args: argparse.Namespace, fallback: bytes | None) -> Alpha
     raise AdaptiveCodeError("an alphabet source is required (--alphabet or --from-corpus)")
 
 
+def _read_table(path: str):
+    try:
+        text = _read_input(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableError(f"table text is not UTF-8 at byte offset {exc.start}") from None
+    return table_from_text(text)
+
+
 def _resolve_table(args: argparse.Namespace, fallback: bytes | None):
     if getattr(args, "table", None):
-        return table_from_text(_read_input(args.table).decode("utf-8"))
+        return _read_table(args.table)
     return build_order1(_resolve_alphabet(args, fallback))
 
 
@@ -108,7 +116,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    table = table_from_text(_read_input(args.input).decode("utf-8"))
+    table = _read_table(args.input)
     all_ok = True
     lines = []
     for ctx in sorted(table.rows, key=lambda c: (len(c), c)):

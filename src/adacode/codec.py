@@ -5,7 +5,9 @@ the window of up to `order` preceding symbols. Decoding is greedy: because
 every context row it visits is a prefix code, at most one codeword can match
 the next bits, so for each codeword length of the row, shortest first, the
 decoder looks the next that many bits up in the row's codeword dict, and the
-first hit is the symbol. The same decode loop serves the GA codes of adacode.ga.
+first hit is the symbol. There is one encode loop and one decode loop; the
+table codec and the GA codes of adacode.ga supply only their context rule,
+their rows and their error wording.
 """
 
 from __future__ import annotations
@@ -54,43 +56,83 @@ def prefix_predicate(table: CodeTable) -> bool:
 
 class IncrementalEncoder:
     """Streaming encoder. Feeding data in chunks yields exactly the bits of
-    one-shot encoding, since only the trailing window carries between calls."""
+    one-shot encoding, since only the trailing window carries between calls.
+    The cells of each visited context are built once and kept."""
 
     def __init__(self, table: CodeTable):
         self._table = table
-        self._rows: dict[bytes, dict[int, str]] = {}
+        self._codes: dict[bytes, dict[int, list]] = {}
         self._tail = b""
         self._position = 0
 
     def feed(self, data: bytes) -> str:
-        table, rows, order = self._table, self._rows, self._table.order
-        index_of = table.alphabet.index_of
+        table, index_of = self._table, self._table.alphabet.index_of
         buf = self._tail + data
         start = len(self._tail)
-        out: list[str] = []
-        for i in range(start, len(buf)):
-            window = buf[i - order : i] if i >= order else buf[:i]
-            row = rows.get(window)
-            if row is None:
-                words = table.rows.get(tuple(map(index_of, window)), ())
-                row = rows[window] = dict(zip(table.alphabet.symbols, words))
-            word = row.get(buf[i])
-            if word is None:
-                position = self._position + i - start + 1
-                try:
-                    table_get(table, index_of(buf[i]), tuple(map(index_of, window)))
-                except TableError as exc:
-                    raise EncodeError(f"{exc} (position {position})", position) from exc
-            out.append(word)
+
+        def row(window: bytes) -> dict[int, list]:
+            words = table.rows.get(tuple(map(index_of, window)), ())
+            return {value: [word, None] for value, word in zip(table.alphabet.symbols, words)}
+
+        def fail(index: int, window: bytes) -> EncodeError:
+            position = self._position + index - start + 1
+            try:
+                table_get(table, index_of(buf[index]), tuple(map(index_of, window)))
+            except TableError as exc:
+                return EncodeError(f"{exc} (position {position})", position)
+
+        bits = _greedy_encode(
+            buf, start, _window(table.order), self._codes, row, fail, fixed_window=True
+        )
         self._position += len(buf) - start
-        self._tail = buf[-order:]
-        return "".join(out)
+        self._tail = buf[-table.order :]
+        return bits
 
 
 def encode(table: CodeTable, data: bytes) -> str:
     """Concatenated codewords of data, each conditioned on its preceding
     window of up to table.order symbols. Empty input encodes to ""."""
     return IncrementalEncoder(table).feed(data)
+
+
+def _window(order: int) -> Callable[[int, memoryview], bytes]:
+    """The context rule of order-n tables: the up to n bytes before a position."""
+    return lambda position, view: view[max(0, position - 1 - order) : position - 1].tobytes()
+
+
+def _greedy_encode(
+    data: bytes,
+    start: int,
+    context: Callable[[int, memoryview], Hashable],
+    codes: dict,
+    row: Callable[[Hashable], dict[int, list]],
+    fail: Callable[[int, Hashable], EncodeError],
+    fixed_window: bool = False,
+) -> str:
+    """The encode loop behind encode() and ga_encode(), the mirror of
+    _greedy_decode: it encodes data[start:], naming each context from a
+    read-only view of data. codes maps a context to its cells, a dict from
+    byte value to [codeword, next cells]; row(ctx) builds those of a context
+    not in codes yet. A byte without a cell raises fail(index, ctx), ctx
+    recomputed since a cached successor (see fixed_window) has no context.
+    """
+    view = memoryview(data).toreadonly()
+    out: list[str] = []
+    code = cell = None
+    for i in range(start, len(data)):
+        if code is None:
+            ctx = context(i + 1, view)
+            code = codes.get(ctx)
+            if code is None:
+                code = codes[ctx] = row(ctx)
+            if fixed_window and cell is not None:
+                cell[1] = code
+        cell = code.get(data[i])
+        if cell is None:
+            raise fail(i, context(i + 1, view))
+        out.append(cell[0])
+        code = cell[1]
+    return "".join(out)
 
 
 def _code(row: Iterable[tuple[int, str]]) -> tuple[dict[str, list], tuple[int, ...]]:
@@ -174,7 +216,4 @@ def decode(table: CodeTable, bits: str, max_symbols: int | None = None) -> Decod
             )
         return _code(zip(table.alphabet.symbols, table.rows[ctx]))
 
-    def window(position: int, view: memoryview) -> bytes:
-        return view[max(0, position - 1 - table.order) : position - 1].tobytes()
-
-    return _greedy_decode(bits, max_symbols, window, row, fixed_window=True)
+    return _greedy_decode(bits, max_symbols, _window(table.order), row, fixed_window=True)

@@ -44,6 +44,7 @@ is \\xNN. Lines starting with # and blank lines are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import hexdigits
 from typing import Sequence
 
 from .builder import build_order1
@@ -291,12 +292,11 @@ def _parse_symbol_values(text: str, line_no: int) -> list[int]:
     while i < len(text):
         ch = text[i]
         if ch == "\\":
-            if text[i + 1 : i + 2] != "x" or len(text) < i + 4:
+            # int() alone would also take a sign or non-ASCII digits
+            digits = text[i + 2 : i + 4]
+            if text[i + 1 : i + 2] != "x" or len(digits) != 2 or not set(digits) <= set(hexdigits):
                 raise TableError(f"line {line_no}: bad escape in '{text}'")
-            try:
-                values.append(int(text[i + 2 : i + 4], 16))
-            except ValueError:
-                raise TableError(f"line {line_no}: bad escape in '{text}'") from None
+            values.append(int(digits, 16))
             i += 4
         else:
             if ord(ch) > 255:

@@ -3,8 +3,9 @@
 Instead of a fixed-length suffix window, the context for each position comes
 from an arbitrary rule. The rule only ever sees the symbols strictly before
 the position it is asked about; that restriction is what makes greedy
-decoding possible, since the decoder (the one table codes use) can recompute
-every context from what it has already emitted. Symbols here are raw byte
+decoding possible, since the decoder can recompute every context from what
+it has already emitted. ga_encode and ga_decode run the encode and decode
+loops of table codes with the rule as context. Symbols here are raw byte
 values, and lookups are keyed by (symbol value, context of symbol values),
 so any code table can be flattened into this representation.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .codec import DecodeError, EncodeError, _code, _greedy_decode
+from .codec import DecodeError, EncodeError, _code, _greedy_decode, _greedy_encode
 from .core import (
     AdaptiveCodeError,
     Alphabet,
@@ -70,20 +71,21 @@ class GACode:
 
     function: AdaptiveFunction
     lookup: Mapping[tuple[int, Symbols], Codeword]
-    _rows: dict[Symbols, dict[int, Codeword]] = field(
+    # per context, symbol -> encoder cell (codeword, None), built once per code
+    _rows: dict[Symbols, dict[int, tuple[Codeword, None]]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         normalized: dict[tuple[int, Symbols], Codeword] = {}
-        rows: dict[Symbols, dict[int, Codeword]] = {}
+        rows: dict[Symbols, dict[int, tuple[Codeword, None]]] = {}
         for (symbol, raw_ctx), word in self.lookup.items():
             if not 0 <= symbol <= 255:
                 raise AdaptiveCodeError(f"symbol {symbol!r} is not a byte value")
             ctx = tuple(raw_ctx)
             _check_codeword(word)
             normalized[(symbol, ctx)] = word
-            rows.setdefault(ctx, {})[symbol] = word
+            rows.setdefault(ctx, {})[symbol] = (word, None)
         if not normalized:
             raise AdaptiveCodeError("lookup must define at least one codeword")
         object.__setattr__(self, "lookup", normalized)
@@ -103,19 +105,15 @@ def lookup_from_table(table: CodeTable) -> dict[tuple[int, Symbols], Codeword]:
 
 def ga_encode(code: GACode, data: bytes) -> str:
     """Concatenated codewords of data under the code's context rule."""
-    view = memoryview(data)
-    out: list[str] = []
-    for i, symbol in enumerate(view, 1):
-        ctx = code.function(i, view)
-        word = code.lookup.get((symbol, ctx))
-        if word is None:
-            raise EncodeError(
-                f"no codeword for symbol {format_context(_BYTE_VALUES, (symbol,))} "
-                f"in context '{format_context(_BYTE_VALUES, ctx)}' (position {i})",
-                i,
-            )
-        out.append(word)
-    return "".join(out)
+
+    def fail(index: int, ctx: Symbols) -> EncodeError:
+        return EncodeError(
+            f"no codeword for symbol {format_context(_BYTE_VALUES, (data[index],))} "
+            f"in context '{format_context(_BYTE_VALUES, ctx)}' (position {index + 1})",
+            index + 1,
+        )
+
+    return _greedy_encode(data, 0, code.function, {}, lambda ctx: code._rows.get(ctx, {}), fail)
 
 
 def ga_decode(code: GACode, bits: str) -> bytes:
@@ -123,11 +121,12 @@ def ga_decode(code: GACode, bits: str) -> bytes:
     a prefix code the first time it is used; other rows are never inspected."""
 
     def row(ctx: Symbols, cursor: int) -> tuple:
-        words = code._rows.get(ctx)
-        if words is not None and is_prefix_code(words.values()):
-            return _code(words.items())
+        cells = code._rows.get(ctx, {})
+        words = [word for word, _ in cells.values()]
+        if words and is_prefix_code(words):
+            return _code(zip(cells, words))
         name = format_context(_BYTE_VALUES, ctx)
-        if words is None:
+        if not words:
             raise DecodeError(
                 f"no codewords for context '{name}' at bit offset {cursor}", cursor
             )

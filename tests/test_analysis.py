@@ -214,6 +214,26 @@ def test_render_stats_reports_bounds_without_asserting():
     assert "prate: 0.000000" in text
 
 
+def test_render_stats_lists_at_most_32_positions():
+    t = build_order1(alphabet_from_bytes(b"ab"))
+    # 0, 1, 31, 32 and 33 pair positions, and the same counts of transitions
+    strings = (b"a", b"ab", b"a" * 33, b"a" * 34)
+    for w in strings + (b"ab" * 16 + b"b", b"ab" * 16 + b"a", b"ab" * 17):
+        r = compare_report(w, t)
+        fields = dict(line.split(": ", 1) for line in render_stats("x", r).splitlines())
+        for key, positions in (("pairs", pair_stats(w).pairs), ("eh", eh_positions(w))):
+            if len(positions) > 32:
+                assert fields[key] == f"({len(positions)} positions)"
+            else:
+                assert fields[key] == "{" + ",".join(map(str, sorted(positions))) + "}"
+        assert r.nrpairs == pair_stats(w).nrpairs
+    # beyond 32 of each, rendering never builds the position sets
+    r = compare_report(b"ab" * 20 + b"a" * 40, t)
+    render_stats("x", r)
+    assert "stats" not in vars(r) and "eh" not in vars(r)
+    assert r.stats == pair_stats(r.w) and r.eh == eh_positions(r.w)
+
+
 def test_encoded_bits_match_encode():
     rng = random.Random(3)
     for k in range(6):

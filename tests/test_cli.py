@@ -238,6 +238,21 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_table_file_not_utf8(tmp_path, capsys):
+    inp = tmp_path / "input"
+    inp.write_bytes(b"ab")
+    table_file = tmp_path / "table.txt"
+    table_file.write_bytes(b"order 1\nalphabet a\xff\n")
+    for argv in (
+        ["verify", str(table_file)],
+        ["encode", str(inp), "--table", str(table_file)],
+        ["stats", str(inp), "--table", str(table_file)],
+        ["compare", str(inp), "--table", str(table_file)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "adacode: table text is not UTF-8 at byte offset 18\n"
+
+
 def test_stats_text(tmp_path, capsys):
     inp = tmp_path / "input"
     inp.write_bytes(b"aa")

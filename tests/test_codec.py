@@ -5,6 +5,7 @@ import random
 import pytest
 
 from adacode import (
+    CodeTable,
     DecodeError,
     EncodeError,
     GACode,
@@ -14,6 +15,7 @@ from adacode import (
     decode_payload,
     encode,
     ga_decode,
+    ga_encode,
     lookup_from_table,
     order_n_function,
     prefix_predicate,
@@ -81,6 +83,62 @@ def test_incremental_matches_batch():
         assert enc.feed(w[:split]) + enc.feed(w[split:]) == whole
     enc = IncrementalEncoder(t)
     assert "".join(enc.feed(bytes([b])) for b in w) == whole
+
+
+def _bits_or_position(encoder) -> str | int:
+    try:
+        return encoder()
+    except EncodeError as exc:
+        return exc.position
+
+
+def _scan_encode(table: CodeTable, w: bytes) -> str | int:
+    """Codeword by codeword, or the 1-based position of the first symbol
+    outside the alphabet or under a missing row."""
+    out = []
+    for i, value in enumerate(w):
+        window = w[max(0, i - table.order) : i]
+        row = table.rows.get(tuple(table.alphabet.symbols.index(v) for v in window))
+        if value not in table.alphabet or row is None:
+            return i + 1
+        out.append(row[table.alphabet.symbols.index(value)])
+    return "".join(out)
+
+
+def test_encoders_agree_on_random_tables():
+    # encode, IncrementalEncoder fed in random chunks and ga_encode under the
+    # order-n rule give the same bits, or fail at the same position
+    rng = random.Random(61)
+    kinds = {"encoded": 0, "outside": 0, "missing row": 0}
+    for case in range(200):
+        order = rng.randint(1, 3)
+        table = random_table(rng, order, rng.randint(2, 4))
+        if case % 4 == 0:
+            dropped = rng.choice([ctx for ctx in table.rows if ctx])
+            rows = {ctx: row for ctx, row in table.rows.items() if ctx != dropped}
+            table = CodeTable(table.alphabet, order, rows)
+        w = random_string(rng, table.alphabet, rng.randint(0, 40))
+        if case % 3 == 0:
+            # a byte outside the alphabet after a long run of cached contexts
+            outside = rng.choice([v for v in range(256) if v not in table.alphabet])
+            w += table.alphabet.to_bytes((0, 1)) * 50 + bytes([outside])
+        cuts = sorted(rng.randint(0, len(w)) for _ in range(rng.randint(0, 4)))
+        chunks = [w[i:j] for i, j in zip([0, *cuts], [*cuts, len(w)])]
+
+        def chunked() -> str:
+            enc = IncrementalEncoder(table)
+            return "".join(enc.feed(chunk) for chunk in chunks)
+
+        code = GACode(order_n_function(order), lookup_from_table(table))
+        expected = _scan_encode(table, w)
+        assert _bits_or_position(lambda: encode(table, w)) == expected
+        assert _bits_or_position(chunked) == expected
+        assert _bits_or_position(lambda: ga_encode(code, w)) == expected
+        if isinstance(expected, str):
+            kinds["encoded"] += 1
+        else:
+            kinds["outside" if w[expected - 1] not in table.alphabet else "missing row"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_decode_examples():

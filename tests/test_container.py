@@ -341,6 +341,12 @@ def test_table_text_parse_errors():
         table_from_text("order 1\nalphabet \\xZZ\n")
     with pytest.raises(TableError, match="line 2: bad escape"):
         table_from_text("order 1\nalphabet \\x4\n")
+    # only two ASCII hex digits: int(..., 16) alone would read these as 1, -1, 0x12
+    for escape in ("\\x+1", "\\x-1", "\\x\u0661\u0662"):
+        with pytest.raises(TableError, match="^line 2: bad escape"):
+            table_from_text(f"order 1\nalphabet a{escape}\n")
+        with pytest.raises(TableError, match="^line 3: bad escape"):
+            table_from_text(f"order 1\nalphabet ab\n{escape} a 0\n")
     with pytest.raises(TableError, match="line 3: expected '<context> <symbol> <bits>'"):
         table_from_text("order 1\nalphabet ab\n~ a\n")
     with pytest.raises(TableError, match="line 3: .*not in alphabet"):
@@ -515,13 +521,17 @@ def test_read_container_fuzz_raises_only_container_errors(blob):
 
 TABLE_TOKENS = (
     "~", "a", "b", "c", "ab", "aa", "\\x61", "\\x6", "\\xZZ", "\\", "\u0100",
+    "\\x-1", "\\x+1", "\\x\u0661\u0662",
     "0", "1", "01", "10", "0x", "2", "#", "order", "alphabet",
 )
 
 
 @given(
     st.sampled_from(("order 1", "order 2", "order 0", "order x", "order", "ordre 1")),
-    st.sampled_from(("alphabet ab", "alphabet aa", "alphabet \\x61b", "alphabet \\xZ", "alphabet")),
+    st.sampled_from((
+        "alphabet ab", "alphabet aa", "alphabet \\x61b", "alphabet \\xZ", "alphabet",
+        "alphabet a\\x-1", "alphabet a\\x+1", "alphabet a\\x\u0661\u0662",
+    )),
     st.lists(st.lists(st.sampled_from(TABLE_TOKENS), min_size=0, max_size=4), max_size=12),
 )
 @settings(max_examples=300, deadline=None)
