@@ -147,6 +147,7 @@ def _greedy_decode(
     bits: str,
     max_symbols: int | None,
     context: Callable[[int, memoryview], Hashable],
+    codes: dict,
     row: Callable[[Hashable, int], tuple],
     fixed_window: bool = False,
 ) -> DecodeTrace:
@@ -154,11 +155,11 @@ def _greedy_decode(
 
     context(position, view) names the context of the symbol at a 1-based
     position from a read-only view of the output, whose first position-1 bytes
-    are decoded and never change. row(ctx, cursor) builds the context's code
-    (see _code) on first use or raises DecodeError. Each step looks up the
-    next k bits for each codeword length k of the row, shortest first. With
-    fixed_window, the next context depends only on the current one and the
-    decoded symbol, so cells cache their next code.
+    are decoded and never change. codes maps a context to its code (see
+    _code); row(ctx, cursor) builds that of a context not in codes yet or
+    raises DecodeError. Each step looks up the next k bits for each codeword
+    length k of the row, shortest first. With fixed_window, a cell caches the
+    code of the next context, which follows from its context and symbol.
     """
     total = len(bits)
     if not is_bits(bits):
@@ -166,7 +167,6 @@ def _greedy_decode(
     out = bytearray(total if max_symbols is None else max(0, min(max_symbols, total)))
     view = memoryview(out).toreadonly()
     limit = len(out)
-    codes: dict = {}
     cursor = count = 0
     code = cell = None
     while count < limit and cursor < total:
@@ -216,4 +216,4 @@ def decode(table: CodeTable, bits: str, max_symbols: int | None = None) -> Decod
             )
         return _code(zip(table.alphabet.symbols, table.rows[ctx]))
 
-    return _greedy_decode(bits, max_symbols, _window(table.order), row, fixed_window=True)
+    return _greedy_decode(bits, max_symbols, _window(table.order), {}, row, fixed_window=True)

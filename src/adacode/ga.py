@@ -5,9 +5,11 @@ from an arbitrary rule. The rule only ever sees the symbols strictly before
 the position it is asked about; that restriction is what makes greedy
 decoding possible, since the decoder can recompute every context from what
 it has already emitted. ga_encode and ga_decode run the encode and decode
-loops of table codes with the rule as context. Symbols here are raw byte
-values, and lookups are keyed by (symbol value, context of symbol values),
-so any code table can be flattened into this representation.
+loops of table codes with the rule as context, over rows that a GACode
+builds and checks once; a row that is not a prefix code raises only when
+decoding visits it. Symbols here are raw byte values, and lookups are keyed
+by (symbol value, context of symbol values), so any code table can be
+flattened into this representation.
 """
 
 from __future__ import annotations
@@ -48,7 +50,13 @@ class AdaptiveFunction:
         if position < 1:
             raise AdaptiveCodeError("positions are 1-based")
         view = prefix if isinstance(prefix, memoryview) else memoryview(bytes(prefix))
-        ctx = tuple(bytes(self.rule(position, view[: position - 1].toreadonly())))
+        raw = self.rule(position, view[: position - 1].toreadonly())
+        try:
+            ctx = tuple(bytes(raw))
+        except (TypeError, ValueError) as exc:
+            raise AdaptiveCodeError(
+                f"context rule did not return byte values at position {position}: {exc}"
+            ) from None
         if self.max_context is not None and len(ctx) > self.max_context:
             raise AdaptiveCodeError(
                 f"context rule produced {len(ctx)} symbols, "
@@ -71,25 +79,34 @@ class GACode:
 
     function: AdaptiveFunction
     lookup: Mapping[tuple[int, Symbols], Codeword]
-    # per context, symbol -> encoder cell (codeword, None), built once per code
-    _rows: dict[Symbols, dict[int, tuple[Codeword, None]]] = field(
-        init=False, repr=False, compare=False
-    )
+    # built once per code, never written after: per context, the encoder cells
+    # (symbol -> (codeword, None)) and, if the row is a prefix code, its _code
+    _cells: dict[Symbols, dict[int, tuple]] = field(init=False, repr=False, compare=False)
+    _codes: dict[Symbols, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         normalized: dict[tuple[int, Symbols], Codeword] = {}
-        rows: dict[Symbols, dict[int, tuple[Codeword, None]]] = {}
-        for (symbol, raw_ctx), word in self.lookup.items():
-            if not 0 <= symbol <= 255:
-                raise AdaptiveCodeError(f"symbol {symbol!r} is not a byte value")
-            ctx = tuple(raw_ctx)
+        rows: dict[Symbols, dict[int, Codeword]] = {}
+        for key, word in self.lookup.items():
+            symbol, ctx = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+            if not isinstance(ctx, (tuple, bytes)):
+                raise AdaptiveCodeError(f"lookup key {key!r} is not a (symbol, context) pair")
+            ctx = tuple(ctx)
             _check_codeword(word)
             normalized[(symbol, ctx)] = word
-            rows.setdefault(ctx, {})[symbol] = (word, None)
+            rows.setdefault(ctx, {})[symbol] = word
         if not normalized:
             raise AdaptiveCodeError("lookup must define at least one codeword")
+        for ctx, row in rows.items():
+            bad = [v for v in (*ctx, *row) if not (isinstance(v, int) and 0 <= v < 256)]
+            if bad:
+                raise AdaptiveCodeError(f"lookup key in context {ctx!r} holds non-byte {bad[0]!r}")
+        cells = {ctx: {s: (word, None) for s, word in row.items()} for ctx, row in rows.items()}
+        # r.values() keeps a repeated codeword, so such a row is not a prefix code
+        codes = {c: _code(r.items()) for c, r in rows.items() if is_prefix_code(r.values())}
         object.__setattr__(self, "lookup", normalized)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_codes", codes)
 
 
 def lookup_from_table(table: CodeTable) -> dict[tuple[int, Symbols], Codeword]:
@@ -113,23 +130,17 @@ def ga_encode(code: GACode, data: bytes) -> str:
             index + 1,
         )
 
-    return _greedy_encode(data, 0, code.function, {}, lambda ctx: code._rows.get(ctx, {}), fail)
+    return _greedy_encode(data, 0, code.function, dict(code._cells), lambda ctx: {}, fail)
 
 
 def ga_decode(code: GACode, bits: str) -> bytes:
-    """Greedy inverse of ga_encode. Each visited context row is checked to be
-    a prefix code the first time it is used; other rows are never inspected."""
+    """Greedy inverse of ga_encode. Rows are checked once per code; one that is
+    not a prefix code raises only when decoding visits its context."""
 
     def row(ctx: Symbols, cursor: int) -> tuple:
-        cells = code._rows.get(ctx, {})
-        words = [word for word, _ in cells.values()]
-        if words and is_prefix_code(words):
-            return _code(zip(cells, words))
         name = format_context(_BYTE_VALUES, ctx)
-        if not words:
-            raise DecodeError(
-                f"no codewords for context '{name}' at bit offset {cursor}", cursor
-            )
-        raise DecodeError(f"non-prefix row at visited context '{name}'")
+        if ctx in code._cells:
+            raise DecodeError(f"non-prefix row at visited context '{name}'")
+        raise DecodeError(f"no codewords for context '{name}' at bit offset {cursor}", cursor)
 
-    return _greedy_decode(bits, None, code.function, row).output
+    return _greedy_decode(bits, None, code.function, dict(code._codes), row).output

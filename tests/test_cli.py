@@ -1,8 +1,10 @@
 """Command line behavior: subcommands, exit codes, IO discipline."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 from adacode import (
@@ -368,10 +370,13 @@ def test_unknown_subcommand(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "adacode.cli", "build", "--alphabet", "ab"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == table_to_text(build_order1(alphabet_from_bytes(b"ab")))

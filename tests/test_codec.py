@@ -160,6 +160,9 @@ def test_decode_examples():
 def test_decode_refuses_non_prefix_table():
     with pytest.raises(DecodeError, match="refused"):
         decode(nonprefix_order2_table(), "0")
+    repeated = CodeTable(alphabet=alphabet_from_bytes(b"ab"), order=1, rows={(): ("0", "0")})
+    with pytest.raises(DecodeError, match="refused"):
+        decode(repeated, "0")
 
 
 def test_decode_rejects_bad_bits():

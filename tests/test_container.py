@@ -161,6 +161,9 @@ def test_write_container_validation():
         write_container(t, -1, "0")
     with pytest.raises(ContainerError, match="symbol count"):
         write_container(t, 1 << 64, "0")
+    order256 = CodeTable(alphabet=Alphabet((97,)), order=256, rows={(): ("0",)})
+    with pytest.raises(ContainerError, match="order must be between 1 and 255"):
+        write_container(order256, 0, "")
 
     partial = CodeTable(
         alphabet=Alphabet((97, 98)), order=1, rows={(): ("0", "1")}
@@ -213,6 +216,11 @@ def test_read_container_errors():
     bad = bytearray(blob)
     bad[5] = 2
     with pytest.raises(ContainerError, match="builder mode requires order 1"):
+        read_container(bytes(bad))
+
+    bad = bytearray(blob)
+    bad[6:8] = b"\x00\x00"
+    with pytest.raises(ContainerError, match="alphabet must be nonempty"):
         read_container(bytes(bad))
 
     bad = bytearray(blob)

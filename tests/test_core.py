@@ -41,6 +41,8 @@ def test_alphabet_rejects_duplicates_and_non_bytes():
         Alphabet((1, 1))
     with pytest.raises(AdaptiveCodeError, match="byte value"):
         Alphabet((0, 256))
+    with pytest.raises(AdaptiveCodeError, match="empty alphabet"):
+        Alphabet(())
 
 
 def test_alphabet_index_of_unknown_symbol():

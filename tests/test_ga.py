@@ -92,6 +92,25 @@ def test_ga_code_validation():
         GACode(f, {(97, ()): ""})
     with pytest.raises(AdaptiveCodeError):
         GACode(f, {(97, ()): "012"})
+    for key in ((97.0, ()), ("a", ()), 97, (97,), (97, (300,)), (97, (-1,)), (97, "a")):
+        with pytest.raises(AdaptiveCodeError, match="lookup key"):
+            GACode(f, {key: "0", (98, ()): "1"})
+
+
+def test_rules_that_return_no_byte_values():
+    for bad in (None, [300]):
+        code = GACode(AdaptiveFunction(lambda i, prefix: bad), {(97, ()): "0"})
+        with pytest.raises(AdaptiveCodeError, match="context rule did not return byte values"):
+            ga_encode(code, b"a")
+        with pytest.raises(AdaptiveCodeError, match="context rule did not return byte values"):
+            ga_decode(code, "0")
+
+    # an exception raised inside the rule itself propagates unchanged
+    code = GACode(AdaptiveFunction(lambda i, prefix: {}["from the rule"]), {(97, ()): "0"})
+    with pytest.raises(KeyError, match="from the rule"):
+        ga_encode(code, b"a")
+    with pytest.raises(KeyError, match="from the rule"):
+        ga_decode(code, "0")
 
 
 def test_lookup_from_table_builder_ab():
@@ -153,6 +172,37 @@ def test_ga_decode_checks_rows_lazily():
     assert ga_decode(code, "01") == b"ab"
     with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'"):
         ga_decode(code, "010")
+
+    # a row that repeats a codeword is not a prefix code either
+    code = GACode(order_n_function(1), lookup | {(98, (98,)): "0"})
+    assert ga_decode(code, "01") == b"ab"
+    with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'"):
+        ga_decode(code, "010")
+
+
+def test_ga_rows_are_built_once_per_code(monkeypatch):
+    lookup = {
+        (97, ()): "0",
+        (98, ()): "1",
+        (97, (97,)): "0",
+        (98, (97,)): "1",
+        (97, (98,)): "0",
+        (98, (98,)): "01",
+    }
+    code = GACode(order_n_function(1), lookup)
+    missing = GACode(order_n_function(1), {(97, ()): "0", (98, ()): "1"})
+
+    def unused(*args):
+        raise AssertionError("GA rows are rebuilt after construction")
+
+    monkeypatch.setattr("adacode.ga.is_prefix_code", unused)
+    monkeypatch.setattr("adacode.ga._code", unused)
+    assert ga_encode(code, b"aab") == "001"
+    assert ga_decode(code, "001") == b"aab"
+    with pytest.raises(DecodeError, match="^non-prefix row at visited context 'b'$"):
+        ga_decode(code, "010")
+    with pytest.raises(DecodeError, match="^no codewords for context 'a' at bit offset 1$"):
+        ga_decode(missing, "00")
 
 
 def test_ga_decode_missing_row():
