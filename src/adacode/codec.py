@@ -3,16 +3,19 @@
 Encoding walks the input once, emitting the codeword of each symbol under
 the window of up to `order` preceding symbols. Decoding is greedy: because
 every context row it visits is a prefix code, at most one codeword can match
-the next bits, so for each codeword length of the row, shortest first, the
-decoder looks the next that many bits up in the row's codeword dict, and the
-first hit is the symbol. There is one encode loop and one decode loop; the
-table codec and the GA codes of adacode.ga supply only their context rule,
-their rows and their error wording.
+the next bits. Each row is built once into a single-level window table, as
+canonical Huffman decoders do: one lookup of the next w bits finds any
+codeword of at most w bits, w being at most the bit length of the row's
+symbol count so that the table stays within twice that count; the few longer
+codewords are looked up by length. There is one encode loop and one decode
+loop; the table codec and the GA codes of adacode.ga supply only their
+context rule, their rows and their error wording.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Hashable, Iterable
 
 from .core import AdaptiveCodeError, CodeTable, TableError, format_context, is_bits, table_get
@@ -135,12 +138,33 @@ def _greedy_encode(
     return "".join(out)
 
 
-def _code(row: Iterable[tuple[int, str]]) -> tuple[dict[str, list], tuple[int, ...]]:
-    """A prefix-code row's (byte value, codeword) pairs as a dict from codeword
-    to cell [byte value, next code], and its distinct codeword lengths in
-    increasing order."""
-    words = {word: [value, None] for value, word in row}
-    return words, tuple(sorted({len(word) for word in words}))
+@cache
+def _spans(w: int) -> dict[str, list[str]]:
+    """Every bit string of at most w bits, mapped to the w-bit windows that
+    start with it. Built once per window width (at most 9, see _code) and
+    shared, never written, by all rows, so that building a row's table
+    allocates no key strings."""
+    spans: dict[str, list[str]] = {}
+    for i in range(1 << w):
+        window = format(i, f"0{w}b")
+        for k in range(1, w + 1):
+            spans.setdefault(window[:k], []).append(window)
+    return spans
+
+
+def _code(row: Iterable[tuple[int, str]]) -> tuple[dict[str, list], int, tuple[int, ...]]:
+    """A prefix-code row's (byte value, codeword) pairs as a decode table
+    (table, w, longer). w is the row's longest codeword length, capped at the
+    bit length of its codeword count h, so the table holds at most 2h window
+    keys. table maps each w-bit window that starts with a codeword of at most
+    w bits, and each longer codeword itself, to the codeword's cell
+    [byte value, next code, codeword length]; longer holds the distinct
+    lengths above w in increasing order."""
+    cells = {word: [value, None, len(word)] for value, word in row}
+    w = min(max(map(len, cells)), len(cells).bit_length())
+    spans = _spans(w)
+    table = {key: cell for word, cell in cells.items() for key in spans.get(word, (word,))}
+    return table, w, tuple(sorted({len(word) for word in cells if len(word) > w}))
 
 
 def _greedy_decode(
@@ -157,9 +181,11 @@ def _greedy_decode(
     position from a read-only view of the output, whose first position-1 bytes
     are decoded and never change. codes maps a context to its code (see
     _code); row(ctx, cursor) builds that of a context not in codes yet or
-    raises DecodeError. Each step looks up the next k bits for each codeword
-    length k of the row, shortest first. With fixed_window, a cell caches the
-    code of the next context, which follows from its context and symbol.
+    raises DecodeError. Each step looks the next w bits up once, and only on a
+    miss the next k bits for each longer length k. Fewer than w bits before
+    the end are padded with zeros, and the hit counts only if its codeword
+    fits in them. With fixed_window, a cell caches the code of the next
+    context, which follows from its context and symbol.
     """
     total = len(bits)
     if not is_bits(bits):
@@ -177,19 +203,26 @@ def _greedy_decode(
                 code = codes[ctx] = row(ctx, cursor)
             if fixed_window and cell is not None:
                 cell[1] = code
-        words, lengths = code
-        for k in lengths:
-            cell = words.get(bits[cursor : cursor + k])
-            if cell is not None:
-                break
-        else:
-            tail = bits[cursor : cursor + lengths[-1]]
-            if any(word.startswith(tail) for word in words):
-                raise DecodeError(f"truncated input at bit offset {cursor}", cursor)
-            raise DecodeError(f"undecodable at bit offset {cursor}", cursor)
+        table, w, longer = code
+        cell = table.get(bits[cursor : cursor + w])
+        if cell is None:
+            for k in longer:
+                cell = table.get(bits[cursor : cursor + k])
+                if cell is not None:
+                    break
+            else:
+                left = total - cursor
+                if left < w:
+                    cell = table.get(bits[cursor:].ljust(w, "0"))
+                if cell is None or cell[2] > left:
+                    # padded keys start with the rest exactly when codewords do
+                    tail = bits[cursor : cursor + (longer[-1] if longer else w)]
+                    if any(key.startswith(tail) for key in table):
+                        raise DecodeError(f"truncated input at bit offset {cursor}", cursor)
+                    raise DecodeError(f"undecodable at bit offset {cursor}", cursor)
         out[count] = cell[0]
         count += 1
-        cursor += k
+        cursor += cell[2]
         code = cell[1]
     return DecodeTrace(view[:count].tobytes(), count, cursor)
 

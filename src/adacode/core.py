@@ -10,8 +10,8 @@ Every value here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterator, Mapping, Sequence
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Codeword = str
 Context = tuple[int, ...]
@@ -106,9 +106,16 @@ def is_bits(s: str) -> bool:
     return s.count("0") + s.count("1") == len(s)
 
 
-def _check_codeword(word: str) -> None:
-    if not isinstance(word, str) or not word or not is_bits(word):
-        raise TableError(f"codeword must be a nonempty string of 0/1 bits, got {word!r}")
+def _check_codewords(words: Iterable[Codeword]) -> None:
+    """Raise TableError unless every word is a nonempty string of 0/1 bits.
+    Tables repeat codewords, so each distinct one is checked once."""
+    checked: set[Codeword] = set()
+    for word in words:
+        # a non-str word, possibly unhashable, never reaches the set
+        if not (isinstance(word, str) and word in checked):
+            if not isinstance(word, str) or not word or not is_bits(word):
+                raise TableError(f"codeword must be a nonempty string of 0/1 bits, got {word!r}")
+            checked.add(word)
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,6 @@ class CodeTable:
             raise TableError("table order must be at least 1")
         h = self.alphabet.size
         normalized: dict[Context, tuple[Codeword, ...]] = {}
-        # rows repeat codewords: check each distinct one once, in row order
-        checked: set[Codeword] = set()
         for raw_ctx, raw_row in self.rows.items():
             ctx = tuple(raw_ctx)
             if len(ctx) > self.order:
@@ -146,12 +151,8 @@ class CodeTable:
                     f"row for context '{format_context(self.alphabet, ctx)}' has "
                     f"{len(row)} codewords, expected {h}"
                 )
-            for word in row:
-                # a non-str word, possibly unhashable, never reaches the set
-                if not (isinstance(word, str) and word in checked):
-                    _check_codeword(word)
-                    checked.add(word)
             normalized[ctx] = row
+        _check_codewords(chain.from_iterable(normalized.values()))
         if EMPTY_CONTEXT not in normalized:
             raise TableError("table must define the empty-context row")
         object.__setattr__(self, "rows", normalized)

@@ -23,7 +23,7 @@ from .core import (
     Alphabet,
     CodeTable,
     Codeword,
-    _check_codeword,
+    _check_codewords,
     format_context,
 )
 from .prefix import is_prefix_code
@@ -52,7 +52,9 @@ class AdaptiveFunction:
         view = prefix if isinstance(prefix, memoryview) else memoryview(bytes(prefix))
         raw = self.rule(position, view[: position - 1].toreadonly())
         try:
-            ctx = tuple(bytes(raw))
+            # tuple() first, since bytes(n) of an int n is n zero bytes
+            ctx = tuple(raw)
+            bytes(ctx)
         except (TypeError, ValueError) as exc:
             raise AdaptiveCodeError(
                 f"context rule did not return byte values at position {position}: {exc}"
@@ -92,9 +94,9 @@ class GACode:
             if not isinstance(ctx, (tuple, bytes)):
                 raise AdaptiveCodeError(f"lookup key {key!r} is not a (symbol, context) pair")
             ctx = tuple(ctx)
-            _check_codeword(word)
             normalized[(symbol, ctx)] = word
             rows.setdefault(ctx, {})[symbol] = word
+        _check_codewords(normalized.values())
         if not normalized:
             raise AdaptiveCodeError("lookup must define at least one codeword")
         for ctx, row in rows.items():

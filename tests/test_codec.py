@@ -16,6 +16,7 @@ from adacode import (
     encode,
     ga_decode,
     ga_encode,
+    iter_contexts,
     lookup_from_table,
     order_n_function,
     prefix_predicate,
@@ -24,6 +25,7 @@ from adacode import (
     write_container,
 )
 from adacode.builder import build_order1
+from adacode.codec import _code
 
 from helpers import (
     example_order2_table,
@@ -31,6 +33,7 @@ from helpers import (
     random_string,
     random_table,
     scan_decode,
+    scan_decode_outcome,
     unary_table,
 )
 
@@ -186,6 +189,25 @@ def test_decode_error_offsets():
         decode(t, "11")
     assert info.value.bit_offset == 0
 
+    def order1(symbols: bytes, row: tuple[str, ...]) -> CodeTable:
+        contexts = iter_contexts(len(symbols), 1)
+        return CodeTable(alphabet_from_bytes(symbols), order=1, rows=dict.fromkeys(contexts, row))
+
+    # a 3-bit decode window: after "0" and "10", one bit is left and "0" fits
+    # it; after "0", the two bits left begin "110" inside the window
+    window3 = order1(b"abcd", ("0", "10", "110", "111"))
+    assert decode(window3, "0100").output == b"aba"
+    assert scan_decode_outcome(window3, "011") == ("truncated", 1)
+    with pytest.raises(DecodeError, match="^truncated input at bit offset 1$"):
+        decode(window3, "011")
+    # a 2-bit window with a hole at "11", and a 3-bit one whose longest
+    # codeword "1110" lies beyond it, with a hole at "1111"
+    holes = (order1(b"abc", ("00", "01", "10")), order1(b"abcd", ("0", "10", "110", "1110")))
+    for table, bits, offset in ((holes[0], "0011", 2), (holes[1], "01111", 1)):
+        assert scan_decode_outcome(table, bits) == ("undecodable", offset)
+        with pytest.raises(DecodeError, match=f"^undecodable at bit offset {offset}$"):
+            decode(table, bits)
+
 
 def test_decode_missing_row_reports_context():
     from adacode import CodeTable
@@ -216,6 +238,14 @@ def test_roundtrip_random_tables_and_oracle():
     unary = unary_table()
     long_words = random_string(rng, unary.alphabet, 200) + b"\xff\xfe\xff\x00"
     cases.append((unary, long_words))
+    # wide rows, whose decode window is often shorter than their longest codeword
+    for _ in range(40):
+        table = random_table(rng, rng.randint(1, 2), rng.randint(6, 40))
+        cases.append((table, random_string(rng, table.alphabet, rng.randint(0, 60))))
+    for row in set(unary.rows.values()):
+        # a decode table holds at most 2h window keys plus its longer codewords
+        keys, width, _ = _code(zip(unary.alphabet.symbols, row))
+        assert len(keys) <= 2 * len(row) + sum(len(word) > width for word in row)
     for table, w in cases:
         bits = encode(table, w)
         trace = decode(table, bits)
