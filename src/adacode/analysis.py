@@ -19,48 +19,53 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import fsum, log2
 from operator import eq, ne
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .codec import encode
-from .core import AdaptiveCodeError, CodeTable, EMPTY_CONTEXT, TableError
+from .core import AdaptiveCodeError, CodeTable, EMPTY_CONTEXT, Record, TableError
 from .prefix import huffman_total_length
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class PairStats:
+
+class PairStats(Record):
     """Repeated-symbol positions of a string, 1-based.
 
     pairs holds every i with w[i] == w[i+1]; prate is their count divided by
     the string length, kept exact.
     """
 
-    pairs: frozenset[int]
-    nrpairs: int
-    prate: Fraction
+    __slots__ = _fields = ("pairs", "nrpairs", "prate")
+
+    def __init__(self, pairs: frozenset[int], nrpairs: int, prate: Fraction):
+        super().__init__(pairs, nrpairs, prate)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """All per-string figures produced by compare_report. The position sets
-    stats and eh, one int per position, are built from w on first use."""
+    stats and eh, one int per position, are built from w on first use, and
+    kept in the instance dict, so this record has no slots."""
 
-    length: int
-    nrpairs: int
-    encoded_bits: int
-    r_a_literal: float
-    huffman_total_bits: int
-    huffman_rate: float
-    huffman_entropy: float
-    l_not_huffman: int
-    l_huffman: float
-    h_a: float
-    w: bytes = field(repr=False)
+    _fields = (
+        "length", "nrpairs", "encoded_bits", "r_a_literal", "huffman_total_bits",
+        "huffman_rate", "huffman_entropy", "l_not_huffman", "l_huffman", "h_a", "w",
+    )
+    _hidden = ("w",)
+
+    def __init__(
+        self, length: int, nrpairs: int, encoded_bits: int, r_a_literal: float,
+        huffman_total_bits: int, huffman_rate: float, huffman_entropy: float,
+        l_not_huffman: int, l_huffman: float, h_a: float, w: bytes,
+    ):
+        super().__init__(
+            length, nrpairs, encoded_bits, r_a_literal, huffman_total_bits,
+            huffman_rate, huffman_entropy, l_not_huffman, l_huffman, h_a, w,
+        )
 
     @cached_property
     def stats(self) -> PairStats:
@@ -78,6 +83,8 @@ def _require_nonempty(w: bytes) -> None:
 
 def pair_stats(w: bytes) -> PairStats:
     """Positions (1-based) where a symbol repeats its predecessor's value."""
+    from fractions import Fraction
+
     _require_nonempty(w)
     pairs = frozenset(compress(range(1, len(w)), map(eq, w, w[1:])))
     return PairStats(pairs=pairs, nrpairs=len(pairs), prate=Fraction(len(pairs), len(w)))

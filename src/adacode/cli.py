@@ -3,7 +3,8 @@ per-context prefix property, and print analysis reports.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or parse errors,
 3 encode errors, 4 decode errors. Data and reports go to stdout,
-diagnostics to stderr. An input path of - reads standard input.
+diagnostics to stderr. An input path of - reads standard input. Only the
+report commands import the analysis layer, so the others start faster.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from .analysis import compare_report, render_comparison, render_csv, render_stats
 from .builder import build_order1
 from .codec import DecodeError, EncodeError, encode
 from .container import (
@@ -139,6 +139,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .analysis import compare_report, render_csv, render_stats
+
     data = _read_input(args.input)
     table = _resolve_table(args, data)
     report = compare_report(data, table)
@@ -150,6 +152,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis import compare_report, render_comparison, render_csv
+
     datas = [(path, _read_input(path)) for path in args.inputs]
     table = _resolve_table(args, b"".join(d for _, d in datas))
     rows = [(path, compare_report(data, table)) for path, data in datas]

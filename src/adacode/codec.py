@@ -14,11 +14,11 @@ context rule, their rows and their error wording.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Hashable, Iterable
 
-from .core import AdaptiveCodeError, CodeTable, TableError, format_context, is_bits, table_get
+from .core import AdaptiveCodeError, CodeTable, Record, TableError
+from .core import format_context, is_bits, table_get
 from .prefix import is_prefix_code
 
 
@@ -31,21 +31,24 @@ class EncodeError(AdaptiveCodeError):
 
 
 class DecodeError(AdaptiveCodeError):
-    """A bit sequence could not be decoded; carries the failing bit offset."""
+    """A bit sequence could not be decoded; carries the failing bit offset
+    and the 1-based position of the symbol being decoded. position is None
+    when decoding was refused before it started."""
 
-    def __init__(self, message: str, bit_offset: int | None = None):
+    def __init__(self, message: str, bit_offset: int | None = None, position: int | None = None):
         super().__init__(message)
         self.bit_offset = bit_offset
+        self.position = position
 
 
-@dataclass(frozen=True)
-class DecodeTrace:
+class DecodeTrace(Record):
     """Decoder result: the output bytes, how many greedy iterations ran
     (always one per output symbol), and how many bits were consumed."""
 
-    output: bytes
-    iterations: int
-    bits_consumed: int
+    __slots__ = _fields = ("output", "iterations", "bits_consumed")
+
+    def __init__(self, output: bytes, iterations: int, bits_consumed: int):
+        super().__init__(output, iterations, bits_consumed)
 
 
 def prefix_predicate(table: CodeTable) -> bool:
@@ -185,7 +188,9 @@ def _greedy_decode(
     miss the next k bits for each longer length k. Fewer than w bits before
     the end are padded with zeros, and the hit counts only if its codeword
     fits in them. With fixed_window, a cell caches the code of the next
-    context, which follows from its context and symbol.
+    context, which follows from its context and symbol. Every DecodeError
+    raised once decoding has started carries the position of the symbol
+    being decoded.
     """
     total = len(bits)
     if not is_bits(bits):
@@ -200,7 +205,11 @@ def _greedy_decode(
             ctx = context(count + 1, view)
             code = codes.get(ctx)
             if code is None:
-                code = codes[ctx] = row(ctx, cursor)
+                try:
+                    code = codes[ctx] = row(ctx, cursor)
+                except DecodeError as exc:
+                    exc.position = count + 1
+                    raise
             if fixed_window and cell is not None:
                 cell[1] = code
         table, w, longer = code
@@ -218,8 +227,10 @@ def _greedy_decode(
                     # padded keys start with the rest exactly when codewords do
                     tail = bits[cursor : cursor + (longer[-1] if longer else w)]
                     if any(key.startswith(tail) for key in table):
-                        raise DecodeError(f"truncated input at bit offset {cursor}", cursor)
-                    raise DecodeError(f"undecodable at bit offset {cursor}", cursor)
+                        raise DecodeError(
+                            f"truncated input at bit offset {cursor}", cursor, count + 1
+                        )
+                    raise DecodeError(f"undecodable at bit offset {cursor}", cursor, count + 1)
         out[count] = cell[0]
         count += 1
         cursor += cell[2]

@@ -43,8 +43,6 @@ is \\xNN. Lines starting with # and blank lines are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from string import hexdigits
 from typing import Sequence
 
 from .builder import build_order1
@@ -55,6 +53,7 @@ from .core import (
     CodeTable,
     Codeword,
     Context,
+    Record,
     TableError,
     format_context,
     format_symbol,
@@ -66,18 +65,20 @@ MAGIC = b"ADC1"
 VERSION = 0x01
 MODE_BUILDER = 0x00
 MODE_EXPLICIT = 0x01
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class ContainerError(AdaptiveCodeError):
     """Malformed or unreadable container bytes."""
 
 
-@dataclass(frozen=True)
-class PackedBits:
+class PackedBits(Record):
     """Bits packed MSB-first into bytes, final byte zero-padded."""
 
-    data: bytes
-    bit_count: int
+    __slots__ = _fields = ("data", "bit_count")
+
+    def __init__(self, data: bytes, bit_count: int):
+        super().__init__(data, bit_count)
 
 
 def pack_bits(bits: str) -> PackedBits:
@@ -100,14 +101,13 @@ def unpack_bits(packed: PackedBits) -> str:
     return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[: packed.bit_count]
 
 
-@dataclass(frozen=True)
-class ContainerContent:
+class ContainerContent(Record):
     """Everything read_container recovers from a container."""
 
-    table: CodeTable
-    symbol_count: int
-    payload_bits: str
-    builder_mode: bool
+    __slots__ = _fields = ("table", "symbol_count", "payload_bits", "builder_mode")
+
+    def __init__(self, table: CodeTable, symbol_count: int, payload_bits: str, builder_mode: bool):
+        super().__init__(table, symbol_count, payload_bits, builder_mode)
 
 
 def _check_container_alphabet(values: Sequence[int]) -> None:
@@ -294,7 +294,7 @@ def _parse_symbol_values(text: str, line_no: int) -> list[int]:
         if ch == "\\":
             # int() alone would also take a sign or non-ASCII digits
             digits = text[i + 2 : i + 4]
-            if text[i + 1 : i + 2] != "x" or len(digits) != 2 or not set(digits) <= set(hexdigits):
+            if text[i + 1 : i + 2] != "x" or len(digits) != 2 or not set(digits) <= _HEX_DIGITS:
                 raise TableError(f"line {line_no}: bad escape in '{text}'")
             values.append(int(digits, 16))
             i += 4

@@ -9,7 +9,6 @@ Every value here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -38,15 +37,64 @@ def format_symbol(symbol: int) -> str:
     return f"\\x{symbol:02x}"
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """Base of the package's immutable values.
+
+    A subclass lists its fields in _fields, in constructor order; its
+    __init__ checks the arguments and hands the field values to
+    Record.__init__. Records are equal when they have the same type and equal
+    fields, hash as the tuple of their fields (so a record holding a dict is
+    unhashable), and repr as Name(field=value, ...) without the fields in
+    _hidden. Nothing can be assigned or deleted after construction; slots
+    outside _fields are caches, set once with object.__setattr__. Copies and
+    unpickled records are built by calling the class with the field values.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields  # positional class patterns in match
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a record through its checked __init__
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
+class Alphabet(Record):
     """Ordered set of distinct byte values with index lookup."""
 
-    symbols: tuple[int, ...]
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("symbols", "_index")
+    _fields = ("symbols",)
 
-    def __post_init__(self) -> None:
-        symbols = tuple(self.symbols)
+    def __init__(self, symbols: tuple[int, ...]):
+        symbols = tuple(symbols)
         if not symbols:
             raise AdaptiveCodeError("empty alphabet source")
         for value in symbols:
@@ -54,7 +102,7 @@ class Alphabet:
                 raise AdaptiveCodeError(f"alphabet symbol {value!r} is not a byte value")
         if len(set(symbols)) != len(symbols):
             raise AdaptiveCodeError("alphabet symbols must be distinct")
-        object.__setattr__(self, "symbols", symbols)
+        super().__init__(symbols)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
 
     @property
@@ -118,8 +166,7 @@ def _check_codewords(words: Iterable[Codeword]) -> None:
             checked.add(word)
 
 
-@dataclass(frozen=True)
-class CodeTable:
+class CodeTable(Record):
     """A context-conditioned codeword table.
 
     rows maps a context (tuple of symbol indices, at most order long) to a
@@ -128,34 +175,32 @@ class CodeTable:
     missing context fails.
     """
 
-    alphabet: Alphabet
-    order: int
-    rows: Mapping[Context, tuple[Codeword, ...]]
+    __slots__ = _fields = ("alphabet", "order", "rows")
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(
+        self, alphabet: Alphabet, order: int, rows: Mapping[Context, tuple[Codeword, ...]]
+    ):
+        if order < 1:
             raise TableError("table order must be at least 1")
-        h = self.alphabet.size
+        h = alphabet.size
         normalized: dict[Context, tuple[Codeword, ...]] = {}
-        for raw_ctx, raw_row in self.rows.items():
+        for raw_ctx, raw_row in rows.items():
             ctx = tuple(raw_ctx)
-            if len(ctx) > self.order:
-                raise TableError(
-                    f"context of length {len(ctx)} exceeds table order {self.order}"
-                )
+            if len(ctx) > order:
+                raise TableError(f"context of length {len(ctx)} exceeds table order {order}")
             if any(not 0 <= i < h for i in ctx):
                 raise TableError(f"context {ctx} has a symbol index out of range")
             row = tuple(raw_row)
             if len(row) != h:
                 raise TableError(
-                    f"row for context '{format_context(self.alphabet, ctx)}' has "
+                    f"row for context '{format_context(alphabet, ctx)}' has "
                     f"{len(row)} codewords, expected {h}"
                 )
             normalized[ctx] = row
         _check_codewords(chain.from_iterable(normalized.values()))
         if EMPTY_CONTEXT not in normalized:
             raise TableError("table must define the empty-context row")
-        object.__setattr__(self, "rows", normalized)
+        super().__init__(alphabet, order, normalized)
 
     def is_total(self) -> bool:
         """True if every context up to the table's order has a row."""

@@ -14,7 +14,6 @@ flattened into this representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .codec import DecodeError, EncodeError, _code, _greedy_decode, _greedy_encode
@@ -23,6 +22,7 @@ from .core import (
     Alphabet,
     CodeTable,
     Codeword,
+    Record,
     _check_codewords,
     format_context,
 )
@@ -32,8 +32,7 @@ Symbols = tuple[int, ...]
 _BYTE_VALUES = Alphabet(tuple(range(256)))  # format_context over byte values
 
 
-@dataclass(frozen=True)
-class AdaptiveFunction:
+class AdaptiveFunction(Record):
     """Causal context rule: (1-based position, prior symbols) -> context.
 
     The rule is handed a read-only bytes-like view (a memoryview) of exactly
@@ -43,8 +42,12 @@ class AdaptiveFunction:
     no more than the declared max_context bound (None means unbounded).
     """
 
-    rule: Callable[[int, memoryview], Sequence[int]]
-    max_context: int | None = None
+    __slots__ = _fields = ("rule", "max_context")
+
+    def __init__(
+        self, rule: Callable[[int, memoryview], Sequence[int]], max_context: int | None = None
+    ):
+        super().__init__(rule, max_context)
 
     def __call__(self, position: int, prefix: Sequence[int]) -> Symbols:
         if position < 1:
@@ -75,21 +78,21 @@ def order_n_function(n: int) -> AdaptiveFunction:
     return AdaptiveFunction(lambda position, prefix: prefix[-n:], max_context=n)
 
 
-@dataclass(frozen=True)
-class GACode:
+class GACode(Record):
     """A context rule plus a codeword lookup keyed by (symbol, context)."""
 
-    function: AdaptiveFunction
-    lookup: Mapping[tuple[int, Symbols], Codeword]
-    # built once per code, never written after: per context, the encoder cells
-    # (symbol -> (codeword, None)) and, if the row is a prefix code, its _code
-    _cells: dict[Symbols, dict[int, tuple]] = field(init=False, repr=False, compare=False)
-    _codes: dict[Symbols, tuple] = field(init=False, repr=False, compare=False)
+    # _cells and _codes are built once per code, never written after: per
+    # context, the encoder cells (symbol -> (codeword, None)) and, if the row
+    # is a prefix code, its _code
+    __slots__ = ("function", "lookup", "_cells", "_codes")
+    _fields = ("function", "lookup")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, function: AdaptiveFunction, lookup: Mapping[tuple[int, Symbols], Codeword]
+    ):
         normalized: dict[tuple[int, Symbols], Codeword] = {}
         rows: dict[Symbols, dict[int, Codeword]] = {}
-        for key, word in self.lookup.items():
+        for key, word in lookup.items():
             symbol, ctx = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
             if not isinstance(ctx, (tuple, bytes)):
                 raise AdaptiveCodeError(f"lookup key {key!r} is not a (symbol, context) pair")
@@ -106,7 +109,7 @@ class GACode:
         cells = {ctx: {s: (word, None) for s, word in row.items()} for ctx, row in rows.items()}
         # r.values() keeps a repeated codeword, so such a row is not a prefix code
         codes = {c: _code(r.items()) for c, r in rows.items() if is_prefix_code(r.values())}
-        object.__setattr__(self, "lookup", normalized)
+        super().__init__(function, normalized)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_codes", codes)
 

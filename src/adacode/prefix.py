@@ -10,11 +10,12 @@ therefore only contributes the per-symbol code lengths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .core import AdaptiveCodeError, Codeword
+from .core import AdaptiveCodeError, Codeword, Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def prefix_violation(words: Iterable[str]) -> tuple[str, str] | None:
@@ -40,17 +41,21 @@ def is_prefix_code(words: Iterable[str]) -> bool:
 
 def kraft_sum(words: Iterable[str]) -> Fraction:
     """Sum of 2**-len(w) over the words, as an exact rational."""
+    from fractions import Fraction
+
     ws = list(words)
     if not ws:
         raise AdaptiveCodeError("Kraft sum requires at least one codeword")
     return sum((Fraction(1, 2 ** len(w)) for w in ws), Fraction(0))
 
 
-@dataclass(frozen=True)
-class HuffmanResult:
+class HuffmanResult(Record):
     """Canonical codewords keyed by symbol id."""
 
-    codewords: dict[int, Codeword]
+    __slots__ = _fields = ("codewords",)
+
+    def __init__(self, codewords: dict[int, Codeword]):
+        super().__init__(codewords)
 
     @property
     def lengths(self) -> dict[int, int]:

@@ -161,16 +161,23 @@ def test_decode_examples():
 
 
 def test_decode_refuses_non_prefix_table():
-    with pytest.raises(DecodeError, match="refused"):
+    with pytest.raises(DecodeError, match="refused") as info:
         decode(nonprefix_order2_table(), "0")
+    assert info.value.position is None
     repeated = CodeTable(alphabet=alphabet_from_bytes(b"ab"), order=1, rows={(): ("0", "0")})
     with pytest.raises(DecodeError, match="refused"):
         decode(repeated, "0")
 
 
 def test_decode_rejects_bad_bits():
-    with pytest.raises(DecodeError, match="only 0 and 1"):
+    with pytest.raises(DecodeError, match="only 0 and 1") as info:
         decode(example_order2_table(), "012")
+    assert (info.value.bit_offset, info.value.position) == (None, None)
+
+
+def _assert_symbol_position(error: DecodeError, table: CodeTable, bits: str) -> None:
+    """A decode error names the symbol after those its bit offset ends."""
+    assert error.position == 1 + len(decode(table, bits[: error.bit_offset]).output)
 
 
 def test_decode_error_offsets():
@@ -179,6 +186,11 @@ def test_decode_error_offsets():
     with pytest.raises(DecodeError, match="truncated input at bit offset 1") as info:
         decode(ab, "01")
     assert info.value.bit_offset == 1
+    assert info.value.position == 2
+    _assert_symbol_position(info.value, ab, "01")
+    with pytest.raises(DecodeError, match="^truncated input at bit offset 1$") as info:
+        decode_payload(ab, "01", 2)
+    assert (info.value.bit_offset, info.value.position) == (1, 2)
 
     from adacode import CodeTable
 
@@ -188,6 +200,8 @@ def test_decode_error_offsets():
     with pytest.raises(DecodeError, match="undecodable at bit offset 0") as info:
         decode(t, "11")
     assert info.value.bit_offset == 0
+    assert info.value.position == 1
+    _assert_symbol_position(info.value, t, "11")
 
     def order1(symbols: bytes, row: tuple[str, ...]) -> CodeTable:
         contexts = iter_contexts(len(symbols), 1)
@@ -198,15 +212,17 @@ def test_decode_error_offsets():
     window3 = order1(b"abcd", ("0", "10", "110", "111"))
     assert decode(window3, "0100").output == b"aba"
     assert scan_decode_outcome(window3, "011") == ("truncated", 1)
-    with pytest.raises(DecodeError, match="^truncated input at bit offset 1$"):
+    with pytest.raises(DecodeError, match="^truncated input at bit offset 1$") as info:
         decode(window3, "011")
+    _assert_symbol_position(info.value, window3, "011")
     # a 2-bit window with a hole at "11", and a 3-bit one whose longest
     # codeword "1110" lies beyond it, with a hole at "1111"
     holes = (order1(b"abc", ("00", "01", "10")), order1(b"abcd", ("0", "10", "110", "1110")))
     for table, bits, offset in ((holes[0], "0011", 2), (holes[1], "01111", 1)):
         assert scan_decode_outcome(table, bits) == ("undecodable", offset)
-        with pytest.raises(DecodeError, match=f"^undecodable at bit offset {offset}$"):
+        with pytest.raises(DecodeError, match=f"^undecodable at bit offset {offset}$") as info:
             decode(table, bits)
+        _assert_symbol_position(info.value, table, bits)
 
 
 def test_decode_missing_row_reports_context():
@@ -215,8 +231,9 @@ def test_decode_missing_row_reports_context():
     partial = CodeTable(
         alphabet=alphabet_from_bytes(b"ab"), order=1, rows={(): ("0", "1")}
     )
-    with pytest.raises(DecodeError, match="no codeword row for context 'a'"):
+    with pytest.raises(DecodeError, match="no codeword row for context 'a'") as info:
         decode(partial, "00")
+    assert (info.value.bit_offset, info.value.position) == (1, 2)
 
 
 def test_decode_max_symbols():

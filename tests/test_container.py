@@ -306,6 +306,8 @@ def test_table_text_roundtrip_escaped_symbols():
     text = table_to_text(t)
     assert "alphabet \\x00\\x5c\\x7e" in text
     assert table_from_text(text) == t
+    # escapes take upper-case hex digits too
+    assert table_from_text(text.replace("\\x5c", "\\x5C")) == t
 
 
 def test_table_text_ignores_comments_and_blank_lines():

@@ -174,14 +174,16 @@ def test_ga_decode_checks_rows_lazily():
     }
     code = GACode(order_n_function(1), lookup)
     assert ga_decode(code, "01") == b"ab"
-    with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'"):
+    with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'") as err:
         ga_decode(code, "010")
+    assert err.value.position == 3
 
     # a row that repeats a codeword is not a prefix code either
     code = GACode(order_n_function(1), lookup | {(98, (98,)): "0"})
     assert ga_decode(code, "01") == b"ab"
-    with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'"):
+    with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'") as err:
         ga_decode(code, "010")
+    assert (err.value.bit_offset, err.value.position) == (None, 3)
 
 
 def test_ga_rows_are_built_once_per_code(monkeypatch):
@@ -221,6 +223,7 @@ def test_ga_decode_missing_row():
     with pytest.raises(DecodeError) as err:
         ga_decode(code, "011")
     assert err.value.bit_offset == 2
+    assert err.value.position == 3
     assert "no codewords for context 'b'" in str(err.value)
 
 
@@ -255,11 +258,13 @@ def test_ga_roundtrip_order1(w):
     assert ga_decode(code, ga_encode(code, w)) == w
 
 
-def _outcome(run):
-    """The decoded bytes, or (kind, bit offset) as scan_decode_outcome names them."""
+def _outcome(run, table, bits):
+    """The decoded bytes, or (kind, bit offset) as scan_decode_outcome names them.
+    A failure names the symbol after those the bits before its offset decode to."""
     try:
         return run()
     except DecodeError as exc:
+        assert exc.position == 1 + len(decode(table, bits[: exc.bit_offset]).output)
         message = str(exc)
         if message.startswith("truncated input at bit offset"):
             return ("truncated", exc.bit_offset)
@@ -285,8 +290,8 @@ def test_ga_and_table_decoders_fail_at_the_same_bit_offset():
         flip = rng.randrange(len(bits))
         flipped = bits[:flip] + "10"[int(bits[flip])] + bits[flip + 1 :]
         for damaged in (bits[: rng.randrange(len(bits))], flipped):
-            table_result = _outcome(lambda: decode(table, damaged).output)
-            assert _outcome(lambda: ga_decode(code, damaged)) == table_result
+            table_result = _outcome(lambda: decode(table, damaged).output, table, damaged)
+            assert _outcome(lambda: ga_decode(code, damaged), table, damaged) == table_result
             failures += isinstance(table_result, tuple)
     assert failures > 50
 
@@ -317,8 +322,8 @@ def test_decoders_match_the_scan_oracle_on_incomplete_rows():
             flipped = bits[:flip] + "10"[int(bits[flip])] + bits[flip + 1 :]
             for damaged in (bits[: rng.randrange(len(bits))], flipped):
                 expected = scan_decode_outcome(table, damaged)
-                assert _outcome(lambda: decode(table, damaged).output) == expected
-                assert _outcome(lambda: ga_decode(code, damaged)) == expected
+                assert _outcome(lambda: decode(table, damaged).output, table, damaged) == expected
+                assert _outcome(lambda: ga_decode(code, damaged), table, damaged) == expected
                 kinds[expected[0] if isinstance(expected, tuple) else "decoded"] += 1
         assert min(kinds[k] for k in ("truncated", "undecodable", "missing row")) >= 20, kinds
 
