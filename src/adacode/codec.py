@@ -15,7 +15,7 @@ context rule, their rows and their error wording.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterable
 
 from .core import AdaptiveCodeError, CodeTable, Record, TableError
 from .core import format_context, is_bits, table_get
@@ -31,14 +31,22 @@ class EncodeError(AdaptiveCodeError):
 
 
 class DecodeError(AdaptiveCodeError):
-    """A bit sequence could not be decoded; carries the failing bit offset
-    and the 1-based position of the symbol being decoded. position is None
-    when decoding was refused before it started."""
+    """A bit sequence could not be decoded; carries the failing bit offset,
+    and the 1-based position and the context (as byte values) of the symbol
+    being decoded. position and context are None when decoding was refused
+    before it started."""
 
-    def __init__(self, message: str, bit_offset: int | None = None, position: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        bit_offset: int | None = None,
+        position: int | None = None,
+        context: bytes | None = None,
+    ):
         super().__init__(message)
         self.bit_offset = bit_offset
         self.position = position
+        self.context = context
 
 
 class DecodeTrace(Record):
@@ -55,9 +63,15 @@ def prefix_predicate(table: CodeTable) -> bool:
     """True if every context row present in the table is a prefix code.
 
     Sufficient for decodability, not necessary: a table can fail this check
-    and still encode injectively. Such tables are refused by decode().
+    and still encode injectively. Such tables are refused by decode(). The
+    answer is computed once per table and kept in its _prefix slot.
     """
-    return all(is_prefix_code(row) for row in table.rows.values())
+    try:
+        return table._prefix
+    except AttributeError:
+        ok = all(is_prefix_code(row) for row in table.rows.values())
+        object.__setattr__(table, "_prefix", ok)
+        return ok
 
 
 class IncrementalEncoder:
@@ -88,7 +102,7 @@ class IncrementalEncoder:
                 return EncodeError(f"{exc} (position {position})", position)
 
         bits = _greedy_encode(
-            buf, start, _window(table.order), self._codes, row, fail, fixed_window=True
+            buf, start, _window(table.order), None, self._codes, row, fail, fixed_window=True
         )
         self._position += len(buf) - start
         self._tail = buf[-table.order :]
@@ -103,39 +117,53 @@ def encode(table: CodeTable, data: bytes) -> str:
 
 def _window(order: int) -> Callable[[int, memoryview], bytes]:
     """The context rule of order-n tables: the up to n bytes before a position."""
-    return lambda position, view: view[max(0, position - 1 - order) : position - 1].tobytes()
+    return lambda position, prior: prior[-order:].tobytes()
 
 
 def _greedy_encode(
     data: bytes,
     start: int,
-    context: Callable[[int, memoryview], Hashable],
+    context: Callable[[int, memoryview], object],
+    check: Callable[[object, int], bytes] | None,
     codes: dict,
-    row: Callable[[Hashable], dict[int, list]],
-    fail: Callable[[int, Hashable], EncodeError],
+    row: Callable[[bytes], dict[int, list]],
+    fail: Callable[[int, bytes], EncodeError],
     fixed_window: bool = False,
 ) -> str:
     """The encode loop behind encode() and ga_encode(), the mirror of
-    _greedy_decode: it encodes data[start:], naming each context from a
-    read-only view of data. codes maps a context to its cells, a dict from
-    byte value to [codeword, next cells]; row(ctx) builds those of a context
-    not in codes yet. A byte without a cell raises fail(index, ctx), ctx
-    recomputed since a cached successor (see fixed_window) has no context.
+    _greedy_decode: it encodes data[start:], naming the context of data[i]
+    by context(i + 1, view[:i]), view being a read-only view of data. codes
+    maps a context's bytes to its cells, a dict from byte value to
+    [codeword, next cells]. A result that is bytes, or a one-dimensional 'B'
+    memoryview, whose bytes are a key of codes is used as it is; any other
+    result goes to check(result, position), which raises or returns its
+    bytes (None: results are always bytes), and row(ctx) builds the cells of
+    a context not in codes yet. A byte without a cell raises fail(index,
+    ctx). With fixed_window, a cell caches the cells of the next context, as
+    in _greedy_decode.
     """
     view = memoryview(data).toreadonly()
     out: list[str] = []
     code = cell = None
     for i in range(start, len(data)):
         if code is None:
-            ctx = context(i + 1, view)
-            code = codes.get(ctx)
+            ctx = context(i + 1, view[:i])
+            if type(ctx) is memoryview and ctx.format == "B" and ctx.ndim == 1:
+                ctx = ctx.tobytes()
+            code = codes.get(ctx) if type(ctx) is bytes else None
             if code is None:
-                code = codes[ctx] = row(ctx)
+                if check is not None:
+                    ctx = check(ctx, i + 1)
+                    code = codes.get(ctx)
+                if code is None:
+                    code = codes[ctx] = row(ctx)
             if fixed_window and cell is not None:
                 cell[1] = code
         cell = code.get(data[i])
         if cell is None:
-            raise fail(i, context(i + 1, view))
+            if fixed_window:  # a cached successor leaves ctx stale
+                ctx = context(i + 1, view[:i])
+            raise fail(i, ctx)
         out.append(cell[0])
         code = cell[1]
     return "".join(out)
@@ -173,24 +201,26 @@ def _code(row: Iterable[tuple[int, str]]) -> tuple[dict[str, list], int, tuple[i
 def _greedy_decode(
     bits: str,
     max_symbols: int | None,
-    context: Callable[[int, memoryview], Hashable],
+    context: Callable[[int, memoryview], object],
+    check: Callable[[object, int], bytes] | None,
     codes: dict,
-    row: Callable[[Hashable, int], tuple],
+    row: Callable[[bytes, int], tuple],
     fixed_window: bool = False,
 ) -> DecodeTrace:
     """The greedy decode loop behind decode() and ga_decode().
 
-    context(position, view) names the context of the symbol at a 1-based
-    position from a read-only view of the output, whose first position-1 bytes
-    are decoded and never change. codes maps a context to its code (see
-    _code); row(ctx, cursor) builds that of a context not in codes yet or
-    raises DecodeError. Each step looks the next w bits up once, and only on a
-    miss the next k bits for each longer length k. Fewer than w bits before
-    the end are padded with zeros, and the hit counts only if its codeword
-    fits in them. With fixed_window, a cell caches the code of the next
-    context, which follows from its context and symbol. Every DecodeError
-    raised once decoding has started carries the position of the symbol
-    being decoded.
+    The context of the symbol at 1-based position p is named by context(p,
+    prior) from a read-only view of exactly the p-1 bytes decoded before it,
+    which never change; a result is looked up and checked as in
+    _greedy_encode. codes maps a context's bytes to its code (see _code);
+    row(ctx, cursor) builds that of a context not in codes yet or raises
+    DecodeError. Each step looks the next w bits up once, and only on a miss
+    the next k bits for each longer length k. Fewer than w bits before the
+    end are padded with zeros, and the hit counts only if its codeword fits
+    in them. With fixed_window, a cell caches the code of the next context,
+    which follows from its context and symbol, so the rule does not run at
+    every position. Every DecodeError raised once decoding has started
+    carries the position and the context of the symbol being decoded.
     """
     total = len(bits)
     if not is_bits(bits):
@@ -202,14 +232,21 @@ def _greedy_decode(
     code = cell = None
     while count < limit and cursor < total:
         if code is None:
-            ctx = context(count + 1, view)
-            code = codes.get(ctx)
+            ctx = context(count + 1, view[:count])
+            # views of a bytearray cannot be hashed
+            if type(ctx) is memoryview and ctx.format == "B" and ctx.ndim == 1:
+                ctx = ctx.tobytes()
+            code = codes.get(ctx) if type(ctx) is bytes else None
             if code is None:
-                try:
-                    code = codes[ctx] = row(ctx, cursor)
-                except DecodeError as exc:
-                    exc.position = count + 1
-                    raise
+                if check is not None:
+                    ctx = check(ctx, count + 1)
+                    code = codes.get(ctx)
+                if code is None:
+                    try:
+                        code = codes[ctx] = row(ctx, cursor)
+                    except DecodeError as exc:
+                        exc.position, exc.context = count + 1, ctx
+                        raise
             if fixed_window and cell is not None:
                 cell[1] = code
         table, w, longer = code
@@ -224,13 +261,17 @@ def _greedy_decode(
                 if left < w:
                     cell = table.get(bits[cursor:].ljust(w, "0"))
                 if cell is None or cell[2] > left:
+                    if fixed_window:  # a cached successor leaves ctx stale
+                        ctx = context(count + 1, view[:count])
                     # padded keys start with the rest exactly when codewords do
                     tail = bits[cursor : cursor + (longer[-1] if longer else w)]
                     if any(key.startswith(tail) for key in table):
                         raise DecodeError(
-                            f"truncated input at bit offset {cursor}", cursor, count + 1
+                            f"truncated input at bit offset {cursor}", cursor, count + 1, ctx
                         )
-                    raise DecodeError(f"undecodable at bit offset {cursor}", cursor, count + 1)
+                    raise DecodeError(
+                        f"undecodable at bit offset {cursor}", cursor, count + 1, ctx
+                    )
         out[count] = cell[0]
         count += 1
         cursor += cell[2]
@@ -260,4 +301,6 @@ def decode(table: CodeTable, bits: str, max_symbols: int | None = None) -> Decod
             )
         return _code(zip(table.alphabet.symbols, table.rows[ctx]))
 
-    return _greedy_decode(bits, max_symbols, _window(table.order), {}, row, fixed_window=True)
+    return _greedy_decode(
+        bits, max_symbols, _window(table.order), None, {}, row, fixed_window=True
+    )

@@ -175,7 +175,9 @@ class CodeTable(Record):
     missing context fails.
     """
 
-    __slots__ = _fields = ("alphabet", "order", "rows")
+    # _prefix caches codec.prefix_predicate, set on its first call
+    __slots__ = ("alphabet", "order", "rows", "_prefix")
+    _fields = ("alphabet", "order", "rows")
 
     def __init__(
         self, alphabet: Alphabet, order: int, rows: Mapping[Context, tuple[Codeword, ...]]

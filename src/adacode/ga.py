@@ -5,11 +5,14 @@ from an arbitrary rule. The rule only ever sees the symbols strictly before
 the position it is asked about; that restriction is what makes greedy
 decoding possible, since the decoder can recompute every context from what
 it has already emitted. ga_encode and ga_decode run the encode and decode
-loops of table codes with the rule as context, over rows that a GACode
-builds and checks once; a row that is not a prefix code raises only when
-decoding visits it. Symbols here are raw byte values, and lookups are keyed
-by (symbol value, context of symbol values), so any code table can be
-flattened into this representation.
+loops of table codes, which call the rule itself once per position, over
+rows that a GACode builds and checks once, keyed by the bytes of their
+context; a row that is not a prefix code raises only when decoding visits
+it. A result that is bytes, or a 'B' memoryview such as a slice of the view
+the rule was given, and equals a known context is used as it is; every other
+result is checked in full, as AdaptiveFunction.__call__ checks it. Symbols
+here are raw byte values, and lookups are keyed by (symbol value, context of
+symbol values), so any code table can be flattened into this representation.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ class AdaptiveFunction(Record):
     the position-1 byte values before the queried position. Indexing and
     slicing work, tuple() and bytes() copy it, but tuple concatenation does
     not; a kept view stays valid and unchanged. The rule returns byte values,
-    no more than the declared max_context bound (None means unbounded).
+    no more than the declared max_context bound (None means unbounded, else
+    an int >= 0). ga_encode and ga_decode run it once per position, in order.
     """
 
     __slots__ = _fields = ("rule", "max_context")
@@ -47,13 +51,21 @@ class AdaptiveFunction(Record):
     def __init__(
         self, rule: Callable[[int, memoryview], Sequence[int]], max_context: int | None = None
     ):
+        if max_context is not None and (
+            isinstance(max_context, bool) or not isinstance(max_context, int) or max_context < 0
+        ):
+            raise AdaptiveCodeError(f"max_context must be None or an int >= 0, got {max_context!r}")
         super().__init__(rule, max_context)
 
     def __call__(self, position: int, prefix: Sequence[int]) -> Symbols:
         if position < 1:
             raise AdaptiveCodeError("positions are 1-based")
         view = prefix if isinstance(prefix, memoryview) else memoryview(bytes(prefix))
-        raw = self.rule(position, view[: position - 1].toreadonly())
+        return self._context(self.rule(position, view[: position - 1].toreadonly()), position)
+
+    def _context(self, raw: object, position: int) -> Symbols:
+        """The context that the rule's result raw at a position names, or
+        AdaptiveCodeError: the one check of rule results."""
         try:
             # tuple() first, since bytes(n) of an int n is n zero bytes
             ctx = tuple(raw)
@@ -73,6 +85,8 @@ class AdaptiveFunction(Record):
 def order_n_function(n: int) -> AdaptiveFunction:
     """The suffix-window rule of a fixed order: at position i the context is
     the last min(i-1, n) symbols."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise AdaptiveCodeError(f"order must be an int, got {n!r}")
     if n < 1:
         raise AdaptiveCodeError("order must be at least 1")
     return AdaptiveFunction(lambda position, prefix: prefix[-n:], max_context=n)
@@ -82,14 +96,16 @@ class GACode(Record):
     """A context rule plus a codeword lookup keyed by (symbol, context)."""
 
     # _cells and _codes are built once per code, never written after: per
-    # context, the encoder cells (symbol -> (codeword, None)) and, if the row
-    # is a prefix code, its _code
+    # context within the rule's bound, keyed by its bytes, the encoder cells
+    # (symbol -> (codeword, None)) and, if the row is a prefix code, its _code
     __slots__ = ("function", "lookup", "_cells", "_codes")
     _fields = ("function", "lookup")
 
     def __init__(
         self, function: AdaptiveFunction, lookup: Mapping[tuple[int, Symbols], Codeword]
     ):
+        if not isinstance(function, AdaptiveFunction):
+            raise AdaptiveCodeError(f"function {function!r} is not an AdaptiveFunction")
         normalized: dict[tuple[int, Symbols], Codeword] = {}
         rows: dict[Symbols, dict[int, Codeword]] = {}
         for key, word in lookup.items():
@@ -106,6 +122,9 @@ class GACode(Record):
             bad = [v for v in (*ctx, *row) if not (isinstance(v, int) and 0 <= v < 256)]
             if bad:
                 raise AdaptiveCodeError(f"lookup key in context {ctx!r} holds non-byte {bad[0]!r}")
+        # a context over the bound is never looked up: the rule's check refuses it
+        bound = function.max_context
+        rows = {bytes(c): r for c, r in rows.items() if bound is None or len(c) <= bound}
         cells = {ctx: {s: (word, None) for s, word in row.items()} for ctx, row in rows.items()}
         # r.values() keeps a repeated codeword, so such a row is not a prefix code
         codes = {c: _code(r.items()) for c, r in rows.items() if is_prefix_code(r.values())}
@@ -128,24 +147,33 @@ def lookup_from_table(table: CodeTable) -> dict[tuple[int, Symbols], Codeword]:
 def ga_encode(code: GACode, data: bytes) -> str:
     """Concatenated codewords of data under the code's context rule."""
 
-    def fail(index: int, ctx: Symbols) -> EncodeError:
+    def fail(index: int, ctx: bytes) -> EncodeError:
         return EncodeError(
             f"no codeword for symbol {format_context(_BYTE_VALUES, (data[index],))} "
             f"in context '{format_context(_BYTE_VALUES, ctx)}' (position {index + 1})",
             index + 1,
         )
 
-    return _greedy_encode(data, 0, code.function, dict(code._cells), lambda ctx: {}, fail)
+    rule, check = _rule_and_check(code.function)
+    return _greedy_encode(data, 0, rule, check, dict(code._cells), lambda ctx: {}, fail)
 
 
 def ga_decode(code: GACode, bits: str) -> bytes:
     """Greedy inverse of ga_encode. Rows are checked once per code; one that is
     not a prefix code raises only when decoding visits its context."""
 
-    def row(ctx: Symbols, cursor: int) -> tuple:
+    def row(ctx: bytes, cursor: int) -> tuple:
         name = format_context(_BYTE_VALUES, ctx)
         if ctx in code._cells:
             raise DecodeError(f"non-prefix row at visited context '{name}'")
         raise DecodeError(f"no codewords for context '{name}' at bit offset {cursor}", cursor)
 
-    return _greedy_decode(bits, None, code.function, dict(code._codes), row).output
+    rule, check = _rule_and_check(code.function)
+    # row never returns, so the code's own cache is never written
+    return _greedy_decode(bits, None, rule, check, code._codes, row).output
+
+
+def _rule_and_check(function: AdaptiveFunction) -> tuple[Callable, Callable]:
+    """What the coding loops call: the bare rule, and the check of a result
+    that is not a known context, giving the bytes of the context it names."""
+    return function.rule, lambda raw, position: bytes(function._context(raw, position))

@@ -44,6 +44,26 @@ def test_prefix_predicate_examples():
     assert prefix_predicate(build_order1(alphabet_from_bytes(b"abc")))
 
 
+def test_prefix_predicate_runs_once_per_table(monkeypatch):
+    good, bad = example_order2_table(), nonprefix_order2_table()
+    assert decode(good, "0101").output == b"abaa"
+    with pytest.raises(DecodeError, match="refused"):
+        decode(bad, "0")
+
+    def unused(row):
+        raise AssertionError("prefix_predicate ran again on a table it has seen")
+
+    monkeypatch.setattr("adacode.codec.is_prefix_code", unused)
+    assert decode(good, "0101").output == b"abaa"
+    assert prefix_predicate(good) and not prefix_predicate(bad)
+    with pytest.raises(DecodeError, match="refused") as info:
+        decode(bad, "0")
+    assert (info.value.position, info.value.context) == (None, None)
+    # an equal table is a new value, checked on its own first call
+    with pytest.raises(AssertionError, match="ran again"):
+        decode(example_order2_table(), "0101")
+
+
 def test_encode_examples():
     ex = example_order2_table()
     assert encode(ex, b"abaa") == "0101"
@@ -75,6 +95,14 @@ def test_encode_missing_row():
     with pytest.raises(EncodeError, match="no codeword") as info:
         encode(partial, b"ab")
     assert info.value.position == 2
+
+    # a kept encoder reaches the missing row through cached successor cells
+    # the second time, and must still name the row's own context
+    partial = CodeTable(alphabet_from_bytes(b"ab"), 1, {(): ("0", "1"), (0,): ("0", "1")})
+    encoder = IncrementalEncoder(partial)
+    for _ in range(2):
+        with pytest.raises(EncodeError, match=r"^no codeword .* context 'b'\) \(position 3\)$"):
+            encoder.feed(b"abb")
 
 
 def test_incremental_matches_batch():
@@ -163,7 +191,7 @@ def test_decode_examples():
 def test_decode_refuses_non_prefix_table():
     with pytest.raises(DecodeError, match="refused") as info:
         decode(nonprefix_order2_table(), "0")
-    assert info.value.position is None
+    assert (info.value.position, info.value.context) == (None, None)
     repeated = CodeTable(alphabet=alphabet_from_bytes(b"ab"), order=1, rows={(): ("0", "0")})
     with pytest.raises(DecodeError, match="refused"):
         decode(repeated, "0")
@@ -172,12 +200,15 @@ def test_decode_refuses_non_prefix_table():
 def test_decode_rejects_bad_bits():
     with pytest.raises(DecodeError, match="only 0 and 1") as info:
         decode(example_order2_table(), "012")
-    assert (info.value.bit_offset, info.value.position) == (None, None)
+    assert (info.value.bit_offset, info.value.position, info.value.context) == (None, None, None)
 
 
 def _assert_symbol_position(error: DecodeError, table: CodeTable, bits: str) -> None:
-    """A decode error names the symbol after those its bit offset ends."""
-    assert error.position == 1 + len(decode(table, bits[: error.bit_offset]).output)
+    """A decode error names the symbol after those its bit offset ends, and
+    the window of up to table.order symbols before it."""
+    before = decode(table, bits[: error.bit_offset]).output
+    assert error.position == 1 + len(before)
+    assert error.context == before[max(0, len(before) - table.order) :]
 
 
 def test_decode_error_offsets():
@@ -190,7 +221,7 @@ def test_decode_error_offsets():
     _assert_symbol_position(info.value, ab, "01")
     with pytest.raises(DecodeError, match="^truncated input at bit offset 1$") as info:
         decode_payload(ab, "01", 2)
-    assert (info.value.bit_offset, info.value.position) == (1, 2)
+    assert (info.value.bit_offset, info.value.position, info.value.context) == (1, 2, b"a")
 
     from adacode import CodeTable
 
@@ -233,7 +264,7 @@ def test_decode_missing_row_reports_context():
     )
     with pytest.raises(DecodeError, match="no codeword row for context 'a'") as info:
         decode(partial, "00")
-    assert (info.value.bit_offset, info.value.position) == (1, 2)
+    assert (info.value.bit_offset, info.value.position, info.value.context) == (1, 2, b"a")
 
 
 def test_decode_max_symbols():

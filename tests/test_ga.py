@@ -4,11 +4,12 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adacode import (
     AdaptiveCodeError,
     AdaptiveFunction,
+    Alphabet,
     CodeTable,
     DecodeError,
     EncodeError,
@@ -17,8 +18,10 @@ from adacode import (
     alphabet_from_bytes,
     decode,
     encode,
+    format_context,
     ga_decode,
     ga_encode,
+    is_prefix_code,
     lookup_from_table,
     order_n_function,
 )
@@ -60,6 +63,18 @@ def test_order_n_function_window_length():
 def test_order_n_function_rejects_bad_order():
     with pytest.raises(AdaptiveCodeError):
         order_n_function(0)
+    for n in (1.5, 2.0, "2", None, True):
+        with pytest.raises(AdaptiveCodeError, match="order must be an int"):
+            order_n_function(n)
+
+
+def test_adaptive_function_rejects_bad_bound():
+    rule = lambda i, prefix: ()  # noqa: E731
+    for bound in (None, 0, 1, 7):
+        assert AdaptiveFunction(rule, max_context=bound).max_context == bound
+    for bound in ("x", -1, 1.0, True, False, (1,)):
+        with pytest.raises(AdaptiveCodeError, match="max_context must be None or an int >= 0"):
+            AdaptiveFunction(rule, max_context=bound)
 
 
 def test_adaptive_function_only_sees_prior_symbols():
@@ -87,6 +102,8 @@ def test_ga_code_validation():
     f = order_n_function(1)
     with pytest.raises(AdaptiveCodeError):
         GACode(f, {})
+    with pytest.raises(AdaptiveCodeError, match="is not an AdaptiveFunction"):
+        GACode(f.rule, {(97, ()): "0"})
     with pytest.raises(AdaptiveCodeError):
         GACode(f, {(256, ()): "0"})
     with pytest.raises(AdaptiveCodeError):
@@ -158,8 +175,9 @@ def test_ga_decode_examples():
 def test_ga_decode_rejects_bad_bits():
     t = build_order1(alphabet_from_bytes(b"ab"))
     code = GACode(order_n_function(1), lookup_from_table(t))
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError) as err:
         ga_decode(code, "01x")
+    assert (err.value.position, err.value.context) == (None, None)
 
 
 def test_ga_decode_checks_rows_lazily():
@@ -176,14 +194,14 @@ def test_ga_decode_checks_rows_lazily():
     assert ga_decode(code, "01") == b"ab"
     with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'") as err:
         ga_decode(code, "010")
-    assert err.value.position == 3
+    assert (err.value.position, err.value.context) == (3, b"b")
 
     # a row that repeats a codeword is not a prefix code either
     code = GACode(order_n_function(1), lookup | {(98, (98,)): "0"})
     assert ga_decode(code, "01") == b"ab"
     with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'") as err:
         ga_decode(code, "010")
-    assert (err.value.bit_offset, err.value.position) == (None, 3)
+    assert (err.value.bit_offset, err.value.position, err.value.context) == (None, 3, b"b")
 
 
 def test_ga_rows_are_built_once_per_code(monkeypatch):
@@ -224,6 +242,7 @@ def test_ga_decode_missing_row():
         ga_decode(code, "011")
     assert err.value.bit_offset == 2
     assert err.value.position == 3
+    assert err.value.context == b"b"
     assert "no codewords for context 'b'" in str(err.value)
 
 
@@ -232,10 +251,12 @@ def test_ga_decode_truncated_and_undecodable():
         AdaptiveFunction(lambda i, prefix: (), max_context=0),
         {(97, ()): "00", (98, ()): "01"},
     )
-    with pytest.raises(DecodeError, match="truncated input at bit offset 0"):
+    with pytest.raises(DecodeError, match="truncated input at bit offset 0") as err:
         ga_decode(code, "0")
-    with pytest.raises(DecodeError, match="undecodable at bit offset 0"):
+    assert (err.value.position, err.value.context) == (1, b"")
+    with pytest.raises(DecodeError, match="undecodable at bit offset 0") as err:
         ga_decode(code, "1")
+    assert (err.value.position, err.value.context) == (1, b"")
 
 
 def test_ga_matches_table_codec():
@@ -264,7 +285,9 @@ def _outcome(run, table, bits):
     try:
         return run()
     except DecodeError as exc:
-        assert exc.position == 1 + len(decode(table, bits[: exc.bit_offset]).output)
+        before = decode(table, bits[: exc.bit_offset]).output
+        assert exc.position == 1 + len(before)
+        assert exc.context == before[max(0, len(before) - table.order) :]
         message = str(exc)
         if message.startswith("truncated input at bit offset"):
             return ("truncated", exc.bit_offset)
@@ -362,3 +385,156 @@ def test_rule_that_keeps_its_views_still_roundtrips():
     data = random_string(rng, table.alphabet, 300)
     assert ga_decode(code, ga_encode(code, data)) == data
     assert [bytes(view) for view in kept] == [data[:i] for i in range(len(data))] * 2
+
+
+# The rule-result contract. A rule may return anything; the coding loops use
+# a bytes or 'B'-memoryview result that equals a known context as it is and
+# check every other one in full, and that must never change an outcome. The
+# reference below asks AdaptiveFunction.__call__ for the context at each
+# position and codes one symbol at a time from the lookup.
+CONTRACT_SYMBOLS = (97, 98, 255)
+CONTRACT_CONTEXTS = (
+    (),
+    *((a,) for a in CONTRACT_SYMBOLS),
+    *((a, b) for a in CONTRACT_SYMBOLS for b in CONTRACT_SYMBOLS),
+    (98, 97, 255),
+    (97, 97, 97),
+)
+UNKNOWN_CONTEXTS = ((1,), (99, 98), (0,))
+# the first two rows are prefix codes; the others are not
+CONTRACT_ROWS = (("0", "10", "11"), ("1", "01", "00"), ("0", "1", "01"), ("0", "0", "1"))
+# what a rule returns at most positions: slices of its view, or their bytes
+USUAL_RESULTS = (
+    lambda prior, ctx: prior[-1:],
+    lambda prior, ctx: prior[-2:],
+    lambda prior, ctx: prior[-2:-1],
+    lambda prior, ctx: prior[:0],
+    lambda prior, ctx: prior[-3:],
+    lambda prior, ctx: bytes(prior[-1:]),
+)
+# what it returns at a few positions, ctx drawn from every context above
+ODD_RESULTS = (
+    *USUAL_RESULTS,
+    lambda prior, ctx: bytes(ctx),
+    lambda prior, ctx: bytearray(ctx),
+    lambda prior, ctx: tuple(ctx),
+    lambda prior, ctx: list(ctx),
+    lambda prior, ctx: (*ctx, 256),
+    lambda prior, ctx: [255, *ctx],
+    lambda prior, ctx: (-1,),
+    lambda prior, ctx: len(ctx),
+    lambda prior, ctx: True,
+    lambda prior, ctx: tuple(map(bool, ctx)),
+    lambda prior, ctx: (1.0,),
+    lambda prior, ctx: "a",
+    lambda prior, ctx: None,
+    lambda prior, ctx: memoryview(bytearray(ctx)),
+    lambda prior, ctx: prior.cast("b")[-1:],
+    lambda prior, ctx: prior.cast("c")[-1:],
+    lambda prior, ctx: memoryview(bytes(ctx)).cast("b"),
+    lambda prior, ctx: memoryview(bytes(ctx)).cast("c"),
+    lambda prior, ctx: memoryview(bytes(ctx) or b"a").cast("B", shape=[1, len(ctx) or 1]),
+    lambda prior, ctx: memoryview(bytes(ctx[:1]) or b"a").cast("B", shape=[]),
+)
+_BYTE_VALUES = Alphabet(tuple(range(256)))
+
+
+def _reference_encode(function, lookup, data):
+    out = []
+    for i in range(len(data)):
+        ctx = function(i + 1, data)
+        word = lookup.get((data[i], ctx))
+        if word is None:
+            raise EncodeError(
+                f"no codeword for symbol {format_context(_BYTE_VALUES, (data[i],))} "
+                f"in context '{format_context(_BYTE_VALUES, ctx)}' (position {i + 1})",
+                i + 1,
+            )
+        out.append(word)
+    return "".join(out)
+
+
+def _reference_decode(function, lookup, bits):
+    rows = {}
+    for (symbol, ctx), word in lookup.items():
+        rows.setdefault(ctx, {})[symbol] = word
+    out, cursor = bytearray(), 0
+    while cursor < len(bits):
+        position = len(out) + 1
+        ctx = function(position, bytes(out))
+        row, name = rows.get(ctx), format_context(_BYTE_VALUES, ctx)
+        if row is None:
+            message = f"no codewords for context '{name}' at bit offset {cursor}"
+            raise DecodeError(message, cursor, position, bytes(ctx))
+        if not is_prefix_code(row.values()):
+            message = f"non-prefix row at visited context '{name}'"
+            raise DecodeError(message, None, position, bytes(ctx))
+        hits = [(symbol, word) for symbol, word in row.items() if bits.startswith(word, cursor)]
+        if not hits:
+            kind = "undecodable"
+            if any(word.startswith(bits[cursor:]) for word in row.values()):
+                kind = "truncated input"
+            raise DecodeError(f"{kind} at bit offset {cursor}", cursor, position, bytes(ctx))
+        (symbol, word), = hits
+        out.append(symbol)
+        cursor += len(word)
+    return bytes(out)
+
+
+def _outcome_and_calls(run, calls):
+    """What run returns or raises, with every attribute of an error, and the
+    positions the rule was called at."""
+    calls.clear()
+    try:
+        result = run()
+    except Exception as exc:
+        result = (type(exc), str(exc), vars(exc))
+    return result, list(calls)
+
+
+@settings(max_examples=250)
+@given(st.data())
+def test_rule_results_are_used_exactly_as_checked(draw):
+    data = draw.draw
+    bound = data(st.sampled_from((None, 1, 2, 0)))
+    dropped = data(st.sets(st.sampled_from(CONTRACT_CONTEXTS[1:]), max_size=3))
+    rows = data(st.dictionaries(st.sampled_from(CONTRACT_CONTEXTS), st.sampled_from(CONTRACT_ROWS)))
+    pairs = st.tuples(st.sampled_from(CONTRACT_SYMBOLS), st.sampled_from(CONTRACT_CONTEXTS))
+    holes = data(st.sets(pairs, max_size=2))
+    lookup = {
+        (symbol, ctx): word
+        for ctx in CONTRACT_CONTEXTS
+        if ctx not in dropped
+        for symbol, word in zip(CONTRACT_SYMBOLS, rows.get(ctx, CONTRACT_ROWS[0]))
+        if (symbol, ctx) not in holes
+    }
+    text = data(st.lists(st.sampled_from(CONTRACT_SYMBOLS), max_size=12).map(bytes))
+    usual = data(st.sampled_from(USUAL_RESULTS))
+    odd = data(
+        st.dictionaries(
+            st.integers(1, 8),
+            st.tuples(
+                st.sampled_from(ODD_RESULTS),
+                st.sampled_from(CONTRACT_CONTEXTS + UNKNOWN_CONTEXTS),
+            ),
+            max_size=4,
+        )
+    )
+    calls = []
+
+    def rule(position, prior):
+        calls.append(position)
+        result, ctx = odd.get(position, (usual, None))
+        return result(prior, ctx)
+
+    function = AdaptiveFunction(rule, max_context=bound)
+    code = GACode(function, lookup)
+    expected = _outcome_and_calls(lambda: _reference_encode(function, lookup, text), calls)
+    assert _outcome_and_calls(lambda: ga_encode(code, text), calls) == expected
+    assert expected[1] == list(range(1, len(expected[1]) + 1))
+
+    bits = expected[0] if isinstance(expected[0], str) else ""
+    bits = bits[: data(st.integers(0, len(bits)))] + data(st.text("01", max_size=4))
+    expected = _outcome_and_calls(lambda: _reference_decode(function, lookup, bits), calls)
+    assert _outcome_and_calls(lambda: ga_decode(code, bits), calls) == expected
+    assert expected[1] == list(range(1, len(expected[1]) + 1))

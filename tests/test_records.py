@@ -91,7 +91,7 @@ RECORDS = [
 each_record = pytest.mark.parametrize(
     "cls, fields, text, hashable", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS]
 )
-HIDDEN = ("_index", "_cells", "_codes")
+HIDDEN = ("_index", "_prefix", "_cells", "_codes")
 
 
 @each_record
