@@ -110,7 +110,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     content = read_container(_read_input(args.input))
-    data = decode_payload(content.table, content.payload_bits, content.symbol_count)
+    data = decode_payload(content.table, content._payload, content.symbol_count)
     _write_bytes(args.out, data)
     return EXIT_OK
 

@@ -3,18 +3,15 @@
 Encoding walks the input once, emitting the codeword of each symbol under
 the window of up to `order` preceding symbols. Decoding is greedy: because
 every context row it visits is a prefix code, at most one codeword can match
-the next bits. Each row is built once into a single-level window table, as
-canonical Huffman decoders do: one lookup of the next w bits finds any
-codeword of at most w bits, w being at most the bit length of the row's
-symbol count so that the table stays within twice that count; the few longer
-codewords are looked up by length. There is one encode loop and one decode
-loop; the table codec and the GA codes of adacode.ga supply only their
-context rule, their rows and their error wording.
+the next bits. As in zlib's inflate, each row is built once into a table of
+256 entries indexed by the next 8 bits, read from a buffer of every bit
+offset's window byte, and longer codewords go on through sub-tables. There
+is one encode loop and one decode loop; the table codec and the GA codes of
+adacode.ga supply only their context rule, their rows and their error wording.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable, Iterable
 
 from .core import AdaptiveCodeError, CodeTable, Record, TableError
@@ -169,62 +166,76 @@ def _greedy_encode(
     return "".join(out)
 
 
-@cache
-def _spans(w: int) -> dict[str, list[str]]:
-    """Every bit string of at most w bits, mapped to the w-bit windows that
-    start with it. Built once per window width (at most 9, see _code) and
-    shared, never written, by all rows, so that building a row's table
-    allocates no key strings."""
-    spans: dict[str, list[str]] = {}
-    for i in range(1 << w):
-        window = format(i, f"0{w}b")
-        for k in range(1, w + 1):
-            spans.setdefault(window[:k], []).append(window)
-    return spans
+_MISS = (None, 0, 0)  # the entry of bits that begin no codeword
 
 
-def _code(row: Iterable[tuple[int, str]]) -> tuple[dict[str, list], int, tuple[int, ...]]:
-    """A prefix-code row's (byte value, codeword) pairs as a decode table
-    (table, w, longer). w is the row's longest codeword length, capped at the
-    bit length of its codeword count h, so the table holds at most 2h window
-    keys. table maps each w-bit window that starts with a codeword of at most
-    w bits, and each longer codeword itself, to the codeword's cell
-    [byte value, next code, codeword length]; longer holds the distinct
-    lengths above w in increasing order."""
-    cells = {word: [value, None, len(word)] for value, word in row}
-    w = min(max(map(len, cells)), len(cells).bit_length())
-    spans = _spans(w)
-    table = {key: cell for word, cell in cells.items() for key in spans.get(word, (word,))}
-    return table, w, tuple(sorted({len(word) for word in cells if len(word) > w}))
+def _code(row: Iterable[tuple[int, str]], slots: dict, depth: int = 0, width: int = 8) -> list:
+    """A prefix-code row's (byte value, codeword) pairs as a decode table of
+    2 ** width entries, indexed by the width bits from bit depth on. A
+    codeword that ends there fills the entries that start with it with its
+    cell [byte value, next code, length]; longer ones go on through a
+    sub-table entry (sub-table, 8 - k, 0) of k <= 8 bits, as in zlib's
+    inflate; the rest are _MISS. slots caches codewords' (start, span, length)."""
+    table = [_MISS] * (1 << width)
+    longer: dict[int, list] = {}
+    for value, word in row:
+        slot = slots.get(word)
+        if slot is None:
+            span = 1 << (width - len(word) + depth) if len(word) - depth <= width else 0
+            slot = slots[word] = (int(word[depth : depth + 8], 2) * (span or 1), span, len(word))
+        start, span, length = slot
+        if span:
+            table[start : start + span] = [[value, None, length]] * span
+        else:
+            longer.setdefault(start, []).append((value, word))
+    for index, group in longer.items():
+        k = min(8, max(len(word) for _, word in group) - depth - 8)
+        table[index] = (_code(group, {}, depth + 8, k), 8 - k, 0)
+    return table
+
+
+def _descend(table: list, windows: bytearray, cursor: int, total: int) -> list | bool:
+    """The cell of the codeword at cursor that a row's table reaches through
+    sub-tables, or on a miss whether the bits left begin a longer codeword."""
+    shift = 0
+    while True:
+        left = total - cursor
+        index = (windows[cursor] if left > 0 else 0) >> shift
+        if table[index] is _MISS:
+            span = 1 << max(0, 8 - shift - left)
+            return left < 8 - shift and table[index : index + span] != [_MISS] * span
+        if table[index][2]:
+            return table[index]
+        table, shift, _ = table[index]
+        cursor += 8
 
 
 def _greedy_decode(
-    bits: str,
+    bits: str | bytes,
     max_symbols: int | None,
     context: Callable[[int, memoryview], object],
     check: Callable[[object, int], bytes] | None,
     codes: dict,
-    row: Callable[[bytes, int], tuple],
+    row: Callable[[bytes, int], list],
     fixed_window: bool = False,
 ) -> DecodeTrace:
-    """The greedy decode loop behind decode() and ga_decode().
-
-    The context of the symbol at 1-based position p is named by context(p,
-    prior) from a read-only view of exactly the p-1 bytes decoded before it,
-    which never change; a result is looked up and checked as in
-    _greedy_encode. codes maps a context's bytes to its code (see _code);
-    row(ctx, cursor) builds that of a context not in codes yet or raises
-    DecodeError. Each step looks the next w bits up once, and only on a miss
-    the next k bits for each longer length k. Fewer than w bits before the
-    end are padded with zeros, and the hit counts only if its codeword fits
-    in them. With fixed_window, a cell caches the code of the next context,
-    which follows from its context and symbol, so the rule does not run at
-    every position. Every DecodeError raised once decoding has started
-    carries the position and the context of the symbol being decoded.
-    """
-    total = len(bits)
-    if not is_bits(bits):
+    """The greedy decode loop behind decode() and ga_decode(). The context of
+    the symbol at 1-based position p is named by context(p, prior) from a
+    read-only view of the p-1 bytes decoded before it, and looked up and
+    checked as in _greedy_encode. codes maps a context's bytes to its decode
+    table (see _code); row(ctx, cursor) builds one not in codes yet or raises
+    DecodeError. windows[i] is the 8 bits from bit i, zeros past the end. With
+    fixed_window, a cell caches the code of the next context. Every
+    DecodeError raised once decoding has started names the position and the
+    context of the symbol being decoded."""
+    if type(bits) is str and not is_bits(bits):
         raise DecodeError("bit sequence must contain only 0 and 1")
+    total = len(bits) if type(bits) is str else 8 * len(bits)
+    bits = int(bits or "0", 2) if type(bits) is str else int.from_bytes(bits, "big")
+    windows = bytearray(total)  # one shift per bit offset s fills windows[s::8]
+    for s in range(min(8, total)):
+        k = (total - s + 7) // 8
+        windows[s::8] = memoryview((bits << (8 * k + s - total)).to_bytes(k + 1, "big"))[1:]
     out = bytearray(total if max_symbols is None else max(0, min(max_symbols, total)))
     view = memoryview(out).toreadonly()
     limit = len(out)
@@ -249,58 +260,47 @@ def _greedy_decode(
                         raise
             if fixed_window and cell is not None:
                 cell[1] = code
-        table, w, longer = code
-        cell = table.get(bits[cursor : cursor + w])
-        if cell is None:
-            for k in longer:
-                cell = table.get(bits[cursor : cursor + k])
-                if cell is not None:
-                    break
-            else:
-                left = total - cursor
-                if left < w:
-                    cell = table.get(bits[cursor:].ljust(w, "0"))
-                if cell is None or cell[2] > left:
-                    if fixed_window:  # a cached successor leaves ctx stale
-                        ctx = context(count + 1, view[:count])
-                    # padded keys start with the rest exactly when codewords do
-                    tail = bits[cursor : cursor + (longer[-1] if longer else w)]
-                    if any(key.startswith(tail) for key in table):
-                        raise DecodeError(
-                            f"truncated input at bit offset {cursor}", cursor, count + 1, ctx
-                        )
-                    raise DecodeError(
-                        f"undecodable at bit offset {cursor}", cursor, count + 1, ctx
-                    )
+        cell = code[windows[cursor]]
+        if not cell[2]:
+            cell = _descend(code, windows, cursor, total)
+            if type(cell) is bool:  # a miss; cell tells if the input is truncated
+                break
         out[count] = cell[0]
         count += 1
         cursor += cell[2]
         code = cell[1]
-    return DecodeTrace(view[:count].tobytes(), count, cursor)
+    else:
+        if cursor <= total:
+            return DecodeTrace(view[:count].tobytes(), count, cursor)
+        count -= 1
+        cursor -= cell[2]
+        cell = True  # the last codeword runs past the end
+    if fixed_window:  # a cached successor leaves ctx stale
+        ctx = context(count + 1, view[:count])
+    kind = "truncated input" if cell else "undecodable"
+    raise DecodeError(f"{kind} at bit offset {cursor}", cursor, count + 1, ctx)
 
 
-def decode(table: CodeTable, bits: str, max_symbols: int | None = None) -> DecodeTrace:
-    """Greedily decode a bit sequence produced by encode() with this table.
+def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) -> DecodeTrace:
+    """Greedily decode a bit sequence produced by encode() with this table:
+    a '0'/'1' str, or bytes that pack 8 bits each, most significant first.
 
     Tables with prefix_predicate false are refused outright. When max_symbols
-    is given, decoding stops after that many symbols and reports how many
-    bits were consumed; otherwise the whole sequence must decode.
+    (None or an int) is given, decoding stops after that many symbols and
+    reports how many bits were consumed; otherwise the whole sequence must
+    decode.
     """
+    if max_symbols is not None and (type(max_symbols) is bool or not isinstance(max_symbols, int)):
+        raise DecodeError(f"max_symbols must be None or an int, got {max_symbols!r}")
     if not prefix_predicate(table):
-        raise DecodeError(
-            "table has a context row that is not a prefix code; decoding refused"
-        )
+        raise DecodeError("table has a context row that is not a prefix code; decoding refused")
+    slots: dict[str, tuple[int, int, int]] = {}
 
-    def row(window: bytes, cursor: int) -> tuple:
+    def row(window: bytes, cursor: int) -> list:
         ctx = tuple(map(table.alphabet.index_of, window))
         if ctx not in table.rows:
-            raise DecodeError(
-                f"no codeword row for context "
-                f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}",
-                cursor,
-            )
-        return _code(zip(table.alphabet.symbols, table.rows[ctx]))
+            name = f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}"
+            raise DecodeError(f"no codeword row for context {name}", cursor)
+        return _code(zip(table.alphabet.symbols, table.rows[ctx]), slots)
 
-    return _greedy_decode(
-        bits, max_symbols, _window(table.order), None, {}, row, fixed_window=True
-    )
+    return _greedy_decode(bits, max_symbols, _window(table.order), None, {}, row, fixed_window=True)

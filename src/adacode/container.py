@@ -102,12 +102,27 @@ def unpack_bits(packed: PackedBits) -> str:
 
 
 class ContainerContent(Record):
-    """Everything read_container recovers from a container."""
+    """Everything read_container recovers from a container. read_container
+    keeps the payload's bytes, which payload_bits unpacks."""
 
-    __slots__ = _fields = ("table", "symbol_count", "payload_bits", "builder_mode")
+    __slots__ = ("table", "symbol_count", "_payload", "builder_mode")
+    _fields = ("table", "symbol_count", "payload_bits", "builder_mode")
 
-    def __init__(self, table: CodeTable, symbol_count: int, payload_bits: str, builder_mode: bool):
-        super().__init__(table, symbol_count, payload_bits, builder_mode)
+    def __init__(
+        self, table: CodeTable, symbol_count: int, payload_bits: str | bytes, builder_mode: bool
+    ):
+        for name, value in zip(self.__slots__, (table, symbol_count, payload_bits, builder_mode)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def payload_bits(self) -> str:
+        data = self._payload
+        return data if type(data) is str else unpack_bits(PackedBits(data, 8 * len(data)))
+
+
+def _check_symbol_count(count: object) -> None:
+    if type(count) is bool or not isinstance(count, int) or not 0 <= count < 1 << 64:
+        raise ContainerError(f"symbol count {count!r} is not an int from 0 to 2**64 - 1")
 
 
 def _check_container_alphabet(values: Sequence[int]) -> None:
@@ -135,8 +150,7 @@ def write_container(
     its alphabet's build_order1 result. Forcing True on any other table is
     an error; explicit mode requires a total table.
     """
-    if symbol_count < 0 or symbol_count >= 1 << 64:
-        raise ContainerError("symbol count out of range")
+    _check_symbol_count(symbol_count)
     if not 1 <= table.order <= 255:
         raise ContainerError("container order must be between 1 and 255")
     _check_container_alphabet(table.alphabet.symbols)
@@ -240,33 +254,23 @@ def read_container(data: bytes) -> ContainerContent:
         table = CodeTable(alphabet=alphabet, order=order, rows=rows)
     else:
         raise ContainerError(f"unknown table mode {mode:#04x}")
-    rest = data[cursor:]
-    payload_bits = unpack_bits(PackedBits(rest, 8 * len(rest)))
-    return ContainerContent(
-        table=table,
-        symbol_count=symbol_count,
-        payload_bits=payload_bits,
-        builder_mode=mode == MODE_BUILDER,
-    )
+    return ContainerContent(table, symbol_count, data[cursor:], mode == MODE_BUILDER)
 
 
-def decode_payload(table: CodeTable, payload_bits: str, symbol_count: int) -> bytes:
-    """Decode exactly symbol_count symbols and verify the leftover padding.
-
-    A payload that ends before symbol_count symbols is an error. Leftover
-    bits after the last symbol must number fewer than 8 and all be zero;
-    anything else is trailing garbage.
-    """
-    trace = decode(table, payload_bits, max_symbols=symbol_count)
+def decode_payload(table: CodeTable, payload_bits: str | bytes, symbol_count: int) -> bytes:
+    """Decode exactly symbol_count symbols of a '0'/'1' str, or of payload
+    bytes without unpacking them. A payload that ends before symbol_count
+    symbols is an error. Leftover bits after the last symbol must number
+    fewer than 8 and all be zero; anything else is trailing garbage."""
+    _check_symbol_count(symbol_count)
+    trace = decode(table, payload_bits, symbol_count)
     if trace.iterations < symbol_count:
-        raise ContainerError(
-            f"payload ends after {trace.iterations} of {symbol_count} symbols"
-        )
-    leftover = payload_bits[trace.bits_consumed :]
-    if len(leftover) >= 8 or "1" in leftover:
-        raise ContainerError(
-            f"trailing garbage after encoded payload ({len(leftover)} bits left)"
-        )
+        raise ContainerError(f"payload ends after {trace.iterations} of {symbol_count} symbols")
+    packed = type(payload_bits) is not str
+    left = len(payload_bits) * (8 if packed else 1) - trace.bits_consumed
+    tail = left and (payload_bits[-1] % (1 << left) if packed else "1" in payload_bits[-left:])
+    if left >= 8 or tail:
+        raise ContainerError(f"trailing garbage after encoded payload ({left} bits left)")
     return trace.output
 
 

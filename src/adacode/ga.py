@@ -70,7 +70,7 @@ class AdaptiveFunction(Record):
             # tuple() first, since bytes(n) of an int n is n zero bytes
             ctx = tuple(raw)
             bytes(ctx)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, NotImplementedError) as exc:  # n-d memoryviews
             raise AdaptiveCodeError(
                 f"context rule did not return byte values at position {position}: {exc}"
             ) from None
@@ -127,7 +127,8 @@ class GACode(Record):
         rows = {bytes(c): r for c, r in rows.items() if bound is None or len(c) <= bound}
         cells = {ctx: {s: (word, None) for s, word in row.items()} for ctx, row in rows.items()}
         # r.values() keeps a repeated codeword, so such a row is not a prefix code
-        codes = {c: _code(r.items()) for c, r in rows.items() if is_prefix_code(r.values())}
+        slots: dict = {}
+        codes = {c: _code(r.items(), slots) for c, r in rows.items() if is_prefix_code(r.values())}
         super().__init__(function, normalized)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_codes", codes)
@@ -162,7 +163,7 @@ def ga_decode(code: GACode, bits: str) -> bytes:
     """Greedy inverse of ga_encode. Rows are checked once per code; one that is
     not a prefix code raises only when decoding visits its context."""
 
-    def row(ctx: bytes, cursor: int) -> tuple:
+    def row(ctx: bytes, cursor: int) -> list:
         name = format_context(_BYTE_VALUES, ctx)
         if ctx in code._cells:
             raise DecodeError(f"non-prefix row at visited context '{name}'")

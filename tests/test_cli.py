@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 from adacode import (
     CSV_COLUMNS,
+    ContainerContent,
     alphabet_from_bytes,
     encode,
     read_container,
@@ -119,6 +120,20 @@ def test_encode_with_table_file(tmp_path):
     out = tmp_path / "output"
     assert main(["decode", str(cont), "--out", str(out)]) == 0
     assert out.read_bytes() == b"abaa"
+
+
+def test_decode_reads_the_packed_payload(tmp_path, monkeypatch):
+    table = build_order1(alphabet_from_bytes(b"abc"))
+    cont = tmp_path / "c.bin"
+    cont.write_bytes(write_container(table, len(W1), encode(table, W1)))
+
+    def unpacked(content):
+        raise AssertionError("decode unpacked the payload into a bit string")
+
+    monkeypatch.setattr(ContainerContent, "payload_bits", property(unpacked))
+    out = tmp_path / "output"
+    assert main(["decode", str(cont), "--out", str(out)]) == 0
+    assert out.read_bytes() == W1
 
 
 def test_encode_alphabet_flag_overrides_input(tmp_path):

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adacode import (
+    Alphabet,
     CodeTable,
+    ContainerError,
     DecodeError,
     EncodeError,
     GACode,
@@ -14,11 +17,13 @@ from adacode import (
     decode,
     decode_payload,
     encode,
+    format_context,
     ga_decode,
     ga_encode,
     iter_contexts,
     lookup_from_table,
     order_n_function,
+    pack_bits,
     prefix_predicate,
     read_container,
     table_get,
@@ -276,6 +281,89 @@ def test_decode_max_symbols():
     assert decode(ab, bits, max_symbols=0).output == b""
 
 
+def test_decode_max_symbols_must_be_none_or_an_int():
+    ab = build_order1(alphabet_from_bytes(b"ab"))
+    for bad in (1.5, 2.0, True, False, "1"):
+        with pytest.raises(DecodeError, match="^max_symbols must be None or an int") as info:
+            decode(ab, "010", max_symbols=bad)
+        assert info.value.bit_offset is info.value.position is info.value.context is None
+    assert decode(ab, "010", max_symbols=1).output == b"a"
+    assert decode(ab, "010", max_symbols=-1).output == b""
+
+
+@st.composite
+def _stretched_prefix_rows(draw, size: int) -> tuple[str, ...]:
+    """A prefix code of size words: the leaves of a random binary tree, each
+    stretched by 0 to 24 random bits, so that codewords of 1-8, 9-16 and
+    more than 16 bits all occur, in complete and incomplete rows."""
+    words = [""]
+    while len(words) < size:
+        word = words.pop(draw(st.integers(0, len(words) - 1)))
+        words += [word + "0", word + "1"]
+    stretches = st.one_of(st.just(0), st.integers(1, 8), st.integers(9, 24))
+    out = []
+    for word in words:
+        extra = draw(stretches)
+        out.append(word + draw(st.text("01", min_size=extra, max_size=extra)))
+    return tuple(out)
+
+
+def _decode_outcome(table: CodeTable, bits: str):
+    try:
+        return decode(table, bits).output
+    except DecodeError as exc:
+        return (str(exc), exc.bit_offset, exc.position, exc.context)
+
+
+def _oracle_outcome(table: CodeTable, bits: str):
+    """scan_decode_outcome in the shape of _decode_outcome: the message,
+    offset, position and context that a failure must carry."""
+    out = scan_decode_outcome(table, bits)
+    if isinstance(out, bytes):
+        return out
+    kind, offset = out
+    before = scan_decode_outcome(table, bits[:offset])
+    context = before[max(0, len(before) - table.order) :]
+    name = format_context(table.alphabet, tuple(map(table.alphabet.index_of, context)))
+    message = {
+        "truncated": "truncated input",
+        "undecodable": "undecodable",
+        "missing row": f"no codeword row for context '{name}'",
+    }[kind]
+    return (f"{message} at bit offset {offset}", offset, len(before) + 1, context)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decode_matches_the_scan_oracle_at_every_cut(draw):
+    data = draw.draw
+    size = data(st.integers(2, 5))
+    order = data(st.integers(1, 2))
+    symbols = data(st.sets(st.integers(0, 255), min_size=size, max_size=size))
+    alphabet = Alphabet(tuple(sorted(symbols)))
+    contexts = list(iter_contexts(size, order))
+    full = CodeTable(alphabet, order, {ctx: data(_stretched_prefix_rows(size)) for ctx in contexts})
+    dropped = data(st.sets(st.sampled_from(contexts[1:]), max_size=2))
+    table = CodeTable(alphabet, order, {c: r for c, r in full.rows.items() if c not in dropped})
+    text = data(st.lists(st.sampled_from(alphabet.symbols), max_size=10).map(bytes))
+    bits = encode(full, text)
+    stray = data(st.text("01", max_size=8))
+    for cut in range(len(bits) + 1):
+        for cut_bits in (bits[:cut], bits[:cut] + stray):
+            assert _decode_outcome(table, cut_bits) == _oracle_outcome(table, cut_bits)
+            # the packed payload decodes as its padded '0'/'1' form
+            packed = pack_bits(cut_bits).data
+            padded = cut_bits.ljust(8 * len(packed), "0")
+            for count in range(len(text) + 2):
+                outcomes = []
+                for payload in (packed, padded):
+                    try:
+                        outcomes.append(decode_payload(table, payload, count))
+                    except (DecodeError, ContainerError) as exc:
+                        outcomes.append((type(exc), str(exc), vars(exc)))
+                assert outcomes[0] == outcomes[1]
+
+
 def test_roundtrip_random_tables_and_oracle():
     rng = random.Random(97)
     cases = []
@@ -291,9 +379,13 @@ def test_roundtrip_random_tables_and_oracle():
         table = random_table(rng, rng.randint(1, 2), rng.randint(6, 40))
         cases.append((table, random_string(rng, table.alphabet, rng.randint(0, 60))))
     for row in set(unary.rows.values()):
-        # a decode table holds at most 2h window keys plus its longer codewords
-        keys, width, _ = _code(zip(unary.alphabet.symbols, row))
-        assert len(keys) <= 2 * len(row) + sum(len(word) > width for word in row)
+        # the all-ones entry of each table leads to the next 8 bits, and the
+        # last sub-table holds only the 7 bits left of the 255-bit codewords
+        sizes, table = [], _code(zip(unary.alphabet.symbols, row), {})
+        while table is not None:
+            sizes.append(len(table))
+            table = None if table[-1][2] else table[-1][0]
+        assert sizes == [256] * 31 + [128]
     for table, w in cases:
         bits = encode(table, w)
         trace = decode(table, bits)

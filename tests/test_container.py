@@ -1,5 +1,6 @@
 """Bit packing, the binary container, and the table text format."""
 
+import pickle
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from adacode import (
     CodeTable,
     ContainerContent,
     ContainerError,
+    DecodeError,
     PackedBits,
     TableError,
     alphabet_from_bytes,
@@ -32,6 +34,7 @@ from helpers import (
     nonprefix_order2_table,
     random_string,
     random_table,
+    scan_decode_outcome,
     unary_table,
 )
 
@@ -266,6 +269,47 @@ def test_decode_payload_trailing_garbage():
     content = read_container(blob + b"\x00")
     with pytest.raises(ContainerError, match="trailing garbage"):
         decode_payload(content.table, content.payload_bits, content.symbol_count)
+
+
+def test_symbol_counts_must_be_nonnegative_ints():
+    t = build_order1(alphabet_from_bytes(b"ab"))
+    for bad in (-1, -5, 1.5, True, "2", 1 << 64):
+        with pytest.raises(ContainerError, match="symbol count"):
+            write_container(t, bad, "0")
+        with pytest.raises(ContainerError, match="symbol count"):
+            decode_payload(t, "0", bad)
+
+
+def test_read_container_keeps_the_payload_packed():
+    t = build_order1(alphabet_from_bytes(b"abc"))
+    bits = encode(t, W1)
+    blob = write_container(t, len(W1), bits)
+    content = read_container(blob)
+    assert decode_payload(content.table, blob[-5:], len(W1)) == W1
+    unpacked = ContainerContent(t, len(W1), bits.ljust(40, "0"), True)
+    assert content == unpacked and repr(content) == repr(unpacked)
+    assert pickle.loads(pickle.dumps(read_container(blob))) == unpacked
+    assert read_container(blob).payload_bits == unpacked.payload_bits
+    assert ContainerContent(t, len(W1), blob[-5:], True) == unpacked
+
+
+def test_last_codeword_ends_inside_the_final_byte():
+    """The 10-bit codeword of the last symbol ends in the final byte, whose
+    five padding bits are zeros. The container cannot tell padding from
+    codewords, so a symbol count one higher decodes a symbol from the
+    padding, and one more runs past the end."""
+    ab = alphabet_from_bytes(b"ab")
+    t = CodeTable(ab, 1, {(): ("0", "1"), (0,): ("000", "1" * 10), (1,): ("000", "1")})
+    blob = write_container(t, 2, encode(t, b"ab"), builder_mode=False)
+    content = read_container(blob)
+    assert content.payload_bits == "0111111111100000"
+    assert scan_decode_outcome(t, content.payload_bits) == ("truncated", 14)
+    for payload in (content.payload_bits, blob[-2:]):
+        assert decode_payload(content.table, payload, 2) == b"ab"
+        assert decode_payload(content.table, payload, 3) == b"aba"
+        with pytest.raises(DecodeError, match="^truncated input at bit offset 14$") as info:
+            decode_payload(content.table, payload, 4)
+        assert (info.value.position, info.value.context) == (4, b"a")
 
 
 def test_empty_payload_container():

@@ -387,6 +387,21 @@ def test_rule_that_keeps_its_views_still_roundtrips():
     assert [bytes(view) for view in kept] == [data[:i] for i in range(len(data))] * 2
 
 
+def test_multi_dimensional_memoryview_results_raise_library_errors():
+    def grid(position, prior):
+        return memoryview(b"ab").cast("B", shape=[1, 2])
+
+    code = GACode(AdaptiveFunction(grid), {(97, (97, 98)): "0"})
+    calls = (
+        lambda: ga_encode(code, b"a"),
+        lambda: ga_decode(code, "0"),
+        lambda: code.function(1, b""),
+    )
+    for call in calls:
+        with pytest.raises(AdaptiveCodeError, match="did not return byte values at position 1"):
+            call()
+
+
 # The rule-result contract. A rule may return anything; the coding loops use
 # a bytes or 'B'-memoryview result that equals a known context as it is and
 # check every other one in full, and that must never change an outcome. The
