@@ -17,8 +17,7 @@ from .builder import build_order1
 from .codec import DecodeError, EncodeError, encode
 from .container import (
     ContainerError,
-    decode_payload,
-    read_container,
+    _decode_container,
     table_from_text,
     table_to_text,
     write_container,
@@ -109,9 +108,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    content = read_container(_read_input(args.input))
-    data = decode_payload(content.table, content._payload, content.symbol_count)
-    _write_bytes(args.out, data)
+    _write_bytes(args.out, _decode_container(_read_input(args.input)))
     return EXIT_OK
 
 

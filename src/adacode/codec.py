@@ -169,45 +169,43 @@ def _greedy_encode(
 _MISS = (None, 0, 0)  # the entry of bits that begin no codeword
 
 
-def _code(row: Iterable[tuple[int, str]], slots: dict, depth: int = 0, width: int = 8) -> list:
+def _code(row: Iterable[tuple[int, str]], depth: int = 0, width: int = 8) -> list:
     """A prefix-code row's (byte value, codeword) pairs as a decode table of
     2 ** width entries, indexed by the width bits from bit depth on. A
     codeword that ends there fills the entries that start with it with its
     cell [byte value, next code, length]; longer ones go on through a
     sub-table entry (sub-table, 8 - k, 0) of k <= 8 bits, as in zlib's
-    inflate; the rest are _MISS. slots caches codewords' (start, span, length)."""
+    inflate; the rest are _MISS."""
     table = [_MISS] * (1 << width)
     longer: dict[int, list] = {}
     for value, word in row:
-        slot = slots.get(word)
-        if slot is None:
-            span = 1 << (width - len(word) + depth) if len(word) - depth <= width else 0
-            slot = slots[word] = (int(word[depth : depth + 8], 2) * (span or 1), span, len(word))
-        start, span, length = slot
-        if span:
-            table[start : start + span] = [[value, None, length]] * span
+        if len(word) - depth <= width:
+            span = 1 << (width - len(word) + depth)
+            start = int(word[depth:], 2) * span
+            table[start : start + span] = [[value, None, len(word)]] * span
         else:
-            longer.setdefault(start, []).append((value, word))
+            longer.setdefault(int(word[depth : depth + 8], 2), []).append((value, word))
     for index, group in longer.items():
         k = min(8, max(len(word) for _, word in group) - depth - 8)
-        table[index] = (_code(group, {}, depth + 8, k), 8 - k, 0)
+        table[index] = (_code(group, depth + 8, k), 8 - k, 0)
     return table
 
 
 def _descend(table: list, windows: bytearray, cursor: int, total: int) -> list | bool:
     """The cell of the codeword at cursor that a row's table reaches through
-    sub-tables, or on a miss whether the bits left begin a longer codeword."""
+    sub-tables, or on a miss whether the bits left begin a longer codeword,
+    as they do when a sub-table is reached with none left."""
     shift = 0
-    while True:
-        left = total - cursor
-        index = (windows[cursor] if left > 0 else 0) >> shift
+    while cursor < total:
+        index = windows[cursor] >> shift
         if table[index] is _MISS:
-            span = 1 << max(0, 8 - shift - left)
-            return left < 8 - shift and table[index : index + span] != [_MISS] * span
+            span = 1 << max(0, 8 - shift - total + cursor)
+            return total - cursor < 8 - shift and table[index : index + span] != [_MISS] * span
         if table[index][2]:
             return table[index]
         table, shift, _ = table[index]
         cursor += 8
+    return True
 
 
 def _greedy_decode(
@@ -228,10 +226,12 @@ def _greedy_decode(
     fixed_window, a cell caches the code of the next context. Every
     DecodeError raised once decoding has started names the position and the
     context of the symbol being decoded."""
-    if type(bits) is str and not is_bits(bits):
+    if not isinstance(bits, (str, bytes)):
+        raise DecodeError(f"bit sequence must be a str or bytes, not {type(bits).__name__}")
+    if isinstance(bits, str) and not is_bits(bits):
         raise DecodeError("bit sequence must contain only 0 and 1")
-    total = len(bits) if type(bits) is str else 8 * len(bits)
-    bits = int(bits or "0", 2) if type(bits) is str else int.from_bytes(bits, "big")
+    total = len(bits) if isinstance(bits, str) else 8 * len(bits)
+    bits = int(bits or "0", 2) if isinstance(bits, str) else int.from_bytes(bits, "big")
     windows = bytearray(total)  # one shift per bit offset s fills windows[s::8]
     for s in range(min(8, total)):
         k = (total - s + 7) // 8
@@ -294,13 +294,12 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
         raise DecodeError(f"max_symbols must be None or an int, got {max_symbols!r}")
     if not prefix_predicate(table):
         raise DecodeError("table has a context row that is not a prefix code; decoding refused")
-    slots: dict[str, tuple[int, int, int]] = {}
 
     def row(window: bytes, cursor: int) -> list:
         ctx = tuple(map(table.alphabet.index_of, window))
         if ctx not in table.rows:
             name = f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}"
             raise DecodeError(f"no codeword row for context {name}", cursor)
-        return _code(zip(table.alphabet.symbols, table.rows[ctx]), slots)
+        return _code(zip(table.alphabet.symbols, table.rows[ctx]))
 
     return _greedy_decode(bits, max_symbols, _window(table.order), None, {}, row, fixed_window=True)

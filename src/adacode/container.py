@@ -102,22 +102,12 @@ def unpack_bits(packed: PackedBits) -> str:
 
 
 class ContainerContent(Record):
-    """Everything read_container recovers from a container. read_container
-    keeps the payload's bytes, which payload_bits unpacks."""
+    """Everything read_container recovers from a container."""
 
-    __slots__ = ("table", "symbol_count", "_payload", "builder_mode")
-    _fields = ("table", "symbol_count", "payload_bits", "builder_mode")
+    __slots__ = _fields = ("table", "symbol_count", "payload_bits", "builder_mode")
 
-    def __init__(
-        self, table: CodeTable, symbol_count: int, payload_bits: str | bytes, builder_mode: bool
-    ):
-        for name, value in zip(self.__slots__, (table, symbol_count, payload_bits, builder_mode)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def payload_bits(self) -> str:
-        data = self._payload
-        return data if type(data) is str else unpack_bits(PackedBits(data, 8 * len(data)))
+    def __init__(self, table: CodeTable, symbol_count: int, payload_bits: str, builder_mode: bool):
+        super().__init__(table, symbol_count, payload_bits, builder_mode)
 
 
 def _check_symbol_count(count: object) -> None:
@@ -189,6 +179,19 @@ def write_container(
 
 def read_container(data: bytes) -> ContainerContent:
     """Parse container bytes back into a table, symbol count, and payload."""
+    table, symbol_count, payload, builder_mode = _parse_container(data)
+    payload_bits = unpack_bits(PackedBits(payload, 8 * len(payload)))
+    return ContainerContent(table, symbol_count, payload_bits, builder_mode)
+
+
+def _decode_container(data: bytes) -> bytes:
+    """A container's source bytes: data is rebound to its payload, so the rest is freed."""
+    table, symbol_count, data, _ = _parse_container(data)
+    return decode_payload(table, data, symbol_count)
+
+
+def _parse_container(data: bytes) -> tuple[CodeTable, int, bytes, bool]:
+    """A container's table, symbol count, payload bytes and builder mode."""
     data = bytes(data)  # codeword slices key a dict, so they must be hashable
     cursor = 0
 
@@ -254,7 +257,7 @@ def read_container(data: bytes) -> ContainerContent:
         table = CodeTable(alphabet=alphabet, order=order, rows=rows)
     else:
         raise ContainerError(f"unknown table mode {mode:#04x}")
-    return ContainerContent(table, symbol_count, data[cursor:], mode == MODE_BUILDER)
+    return table, symbol_count, data[cursor:], mode == MODE_BUILDER
 
 
 def decode_payload(table: CodeTable, payload_bits: str | bytes, symbol_count: int) -> bytes:
@@ -266,7 +269,7 @@ def decode_payload(table: CodeTable, payload_bits: str | bytes, symbol_count: in
     trace = decode(table, payload_bits, symbol_count)
     if trace.iterations < symbol_count:
         raise ContainerError(f"payload ends after {trace.iterations} of {symbol_count} symbols")
-    packed = type(payload_bits) is not str
+    packed = isinstance(payload_bits, bytes)
     left = len(payload_bits) * (8 if packed else 1) - trace.bits_consumed
     tail = left and (payload_bits[-1] % (1 << left) if packed else "1" in payload_bits[-left:])
     if left >= 8 or tail:

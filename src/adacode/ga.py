@@ -127,8 +127,7 @@ class GACode(Record):
         rows = {bytes(c): r for c, r in rows.items() if bound is None or len(c) <= bound}
         cells = {ctx: {s: (word, None) for s, word in row.items()} for ctx, row in rows.items()}
         # r.values() keeps a repeated codeword, so such a row is not a prefix code
-        slots: dict = {}
-        codes = {c: _code(r.items(), slots) for c, r in rows.items() if is_prefix_code(r.values())}
+        codes = {c: _code(r.items()) for c, r in rows.items() if is_prefix_code(r.values())}
         super().__init__(function, normalized)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_codes", codes)
@@ -159,9 +158,10 @@ def ga_encode(code: GACode, data: bytes) -> str:
     return _greedy_encode(data, 0, rule, check, dict(code._cells), lambda ctx: {}, fail)
 
 
-def ga_decode(code: GACode, bits: str) -> bytes:
-    """Greedy inverse of ga_encode. Rows are checked once per code; one that is
-    not a prefix code raises only when decoding visits its context."""
+def ga_decode(code: GACode, bits: str | bytes) -> bytes:
+    """Greedy inverse of ga_encode, of a '0'/'1' str or of bytes that pack 8
+    bits each, most significant first. Rows are checked once per code; one
+    that is not a prefix code raises only when decoding visits its context."""
 
     def row(ctx: bytes, cursor: int) -> list:
         name = format_context(_BYTE_VALUES, ctx)

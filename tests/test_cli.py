@@ -9,13 +9,14 @@ from types import SimpleNamespace
 
 from adacode import (
     CSV_COLUMNS,
-    ContainerContent,
+    CodeTable,
     alphabet_from_bytes,
     encode,
     read_container,
     table_to_text,
     write_container,
 )
+from adacode import container
 from adacode.builder import build_order1
 from adacode.cli import main
 
@@ -127,10 +128,10 @@ def test_decode_reads_the_packed_payload(tmp_path, monkeypatch):
     cont = tmp_path / "c.bin"
     cont.write_bytes(write_container(table, len(W1), encode(table, W1)))
 
-    def unpacked(content):
+    def unpacked(packed):
         raise AssertionError("decode unpacked the payload into a bit string")
 
-    monkeypatch.setattr(ContainerContent, "payload_bits", property(unpacked))
+    monkeypatch.setattr(container, "unpack_bits", unpacked)
     out = tmp_path / "output"
     assert main(["decode", str(cont), "--out", str(out)]) == 0
     assert out.read_bytes() == W1
@@ -196,6 +197,17 @@ def test_decode_repeated_alphabet_byte(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "adacode: container alphabets must be strictly increasing byte values\n"
+
+
+def test_decode_long_codeword_cut_short(tmp_path, capsys):
+    ab = alphabet_from_bytes(b"ab")
+    table = CodeTable(ab, 1, {ctx: ("0", "1" + "0" * 253 + "1") for ctx in ((), (0,), (1,))})
+    cont = tmp_path / "c.bin"
+    cont.write_bytes(write_container(table, 1, "1", builder_mode=False))
+    assert main(["decode", str(cont)]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "adacode: truncated input at bit offset 0\n"
 
 
 def test_decode_trailing_garbage(tmp_path, capsys):

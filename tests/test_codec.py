@@ -281,6 +281,16 @@ def test_decode_max_symbols():
     assert decode(ab, bits, max_symbols=0).output == b""
 
 
+def test_decode_takes_only_a_str_or_bytes():
+    ab = build_order1(alphabet_from_bytes(b"ab"))
+    code = GACode(order_n_function(1), lookup_from_table(ab))
+    assert decode(ab, b"\x50").output == ga_decode(code, b"\x50") == decode(ab, "01010000").output
+    for bad in (bytearray(b"\x50"), memoryview(b"\x50"), [0, 1], None, 5):
+        for run in (lambda: decode(ab, bad), lambda: ga_decode(code, bad)):
+            with pytest.raises(DecodeError, match="^bit sequence must be a str or bytes, not "):
+                run()
+
+
 def test_decode_max_symbols_must_be_none_or_an_int():
     ab = build_order1(alphabet_from_bytes(b"ab"))
     for bad in (1.5, 2.0, True, False, "1"):
@@ -294,8 +304,9 @@ def test_decode_max_symbols_must_be_none_or_an_int():
 @st.composite
 def _stretched_prefix_rows(draw, size: int) -> tuple[str, ...]:
     """A prefix code of size words: the leaves of a random binary tree, each
-    stretched by 0 to 24 random bits, so that codewords of 1-8, 9-16 and
-    more than 16 bits all occur, in complete and incomplete rows."""
+    stretched by 0 to 24 random bits or by zeros and a 1, so that codewords
+    of 1-8, 9-16 and more than 16 bits all occur, in complete and
+    incomplete rows."""
     words = [""]
     while len(words) < size:
         word = words.pop(draw(st.integers(0, len(words) - 1)))
@@ -304,7 +315,9 @@ def _stretched_prefix_rows(draw, size: int) -> tuple[str, ...]:
     out = []
     for word in words:
         extra = draw(stretches)
-        out.append(word + draw(st.text("01", min_size=extra, max_size=extra)))
+        bits = st.text("01", min_size=extra, max_size=extra)
+        # a run of zeros then a 1 is what zero padding follows furthest
+        out.append(word + draw(bits | st.just("0" * (extra - 1) + "1"[:extra])))
     return tuple(out)
 
 
@@ -381,7 +394,7 @@ def test_roundtrip_random_tables_and_oracle():
     for row in set(unary.rows.values()):
         # the all-ones entry of each table leads to the next 8 bits, and the
         # last sub-table holds only the 7 bits left of the 255-bit codewords
-        sizes, table = [], _code(zip(unary.alphabet.symbols, row), {})
+        sizes, table = [], _code(zip(unary.alphabet.symbols, row))
         while table is not None:
             sizes.append(len(table))
             table = None if table[-1][2] else table[-1][0]

@@ -1,6 +1,5 @@
 """Bit packing, the binary container, and the table text format."""
 
-import pickle
 import random
 
 import pytest
@@ -27,6 +26,7 @@ from adacode import (
     write_container,
 )
 from adacode.builder import build_order1
+from adacode.container import _decode_container
 
 from helpers import (
     example_order2_table,
@@ -280,17 +280,34 @@ def test_symbol_counts_must_be_nonnegative_ints():
             decode_payload(t, "0", bad)
 
 
-def test_read_container_keeps_the_payload_packed():
+def test_decode_payload_reads_the_packed_payload():
     t = build_order1(alphabet_from_bytes(b"abc"))
     bits = encode(t, W1)
     blob = write_container(t, len(W1), bits)
-    content = read_container(blob)
-    assert decode_payload(content.table, blob[-5:], len(W1)) == W1
-    unpacked = ContainerContent(t, len(W1), bits.ljust(40, "0"), True)
-    assert content == unpacked and repr(content) == repr(unpacked)
-    assert pickle.loads(pickle.dumps(read_container(blob))) == unpacked
-    assert read_container(blob).payload_bits == unpacked.payload_bits
-    assert ContainerContent(t, len(W1), blob[-5:], True) == unpacked
+    assert read_container(blob).payload_bits == bits.ljust(40, "0")
+    assert decode_payload(t, blob[-5:], len(W1)) == W1
+    assert _decode_container(blob) == W1
+
+
+def test_long_codeword_cut_over_zero_padding_is_truncated():
+    """Past the end the decoder reads zeros, which follow a long codeword's
+    sub-tables by their 0 entries until one misses; the bits left are still
+    a proper prefix of that codeword, so the input is truncated."""
+    ab = alphabet_from_bytes(b"ab")
+    for word in ("1" + "0" * 14 + "1", "1" + "0" * 38 + "1", "1" + "0" * 253 + "1"):
+        t = CodeTable(ab, 1, {ctx: ("0", word) for ctx in iter_contexts(2, 1)})
+        blob = write_container(t, 1, "1", builder_mode=False)
+        for payload in ("1", "1" + "0" * 7, b"\x80"):
+            with pytest.raises(DecodeError) as info:
+                decode_payload(t, payload, 1)
+            assert str(info.value) == "truncated input at bit offset 0"
+            assert (info.value.bit_offset, info.value.position, info.value.context) == (0, 1, b"")
+        assert scan_decode_outcome(t, "1" + "0" * 7) == ("truncated", 0)
+        with pytest.raises(DecodeError, match="^truncated input at bit offset 0$"):
+            _decode_container(blob)
+        # a 0 for the codeword's last bit leaves no prefix of it
+        with pytest.raises(DecodeError, match="^undecodable at bit offset 0$"):
+            decode_payload(t, word[:-1] + "0", 1)
 
 
 def test_last_codeword_ends_inside_the_final_byte():
