@@ -282,21 +282,10 @@ def render_stats(name: str, r: AnalysisReport) -> str:
     totals_ok = r.h_a <= r.encoded_bits <= r.h_a + 1.0
     per_symbol = r.h_a / r.length
     rates_ok = per_symbol <= r.r_a_literal <= per_symbol + 1.0
-    lines = [
-        f"string-id: {name}",
-        f"length: {r.length}",
-        f"pairs: {_positions_text(r.nrpairs, lambda: r.stats.pairs)}",
-        f"nrpairs: {r.nrpairs}",
-        f"prate: {r.nrpairs / r.length:.6f}",
-        f"eh: {_positions_text(r.length - 1 - r.nrpairs, lambda: r.eh)}",
-        f"adaptive_bits: {r.encoded_bits}",
-        f"huffman_bits: {r.huffman_total_bits}",
-        f"H: {r.huffman_entropy:.6f}",
-        f"R: {r.huffman_rate:.6f}",
-        f"LNotHuffman: {r.l_not_huffman}",
-        f"LHuffman: {r.l_huffman:.6f}",
-        f"H_A: {r.h_a:.6f}",
-        f"R_A: {r.r_a_literal:.6f}",
+    lines = [f"{column}: {cell}" for column, cell in zip(CSV_COLUMNS, _csv_row(name, r))]
+    lines.insert(2, f"pairs: {_positions_text(r.nrpairs, lambda: r.stats.pairs)}")
+    lines.insert(5, f"eh: {_positions_text(r.length - 1 - r.nrpairs, lambda: r.eh)}")
+    lines += [
         f"winner: {winner(r)}",
         f"huffman_bound_ok: {str(huffman_ok).lower()} (H <= R <= H+1)",
         f"adaptive_bound_totals_ok: {str(totals_ok).lower()} (H_A <= adaptive_bits <= H_A+1)",

@@ -135,27 +135,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    from .analysis import compare_report, render_csv, render_stats
-
-    data = _read_input(args.input)
-    table = _resolve_table(args, data)
-    report = compare_report(data, table)
-    if args.csv:
-        _write_text(args.out, render_csv([(args.input, report)]))
-    else:
-        _write_text(args.out, render_stats(args.input, report))
-    return EXIT_OK
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    from .analysis import compare_report, render_comparison, render_csv
+def cmd_report(args: argparse.Namespace) -> int:
+    """stats and compare: one report per input, all under the table resolved
+    from their concatenation."""
+    from .analysis import compare_report, render_comparison, render_csv, render_stats
 
     datas = [(path, _read_input(path)) for path in args.inputs]
+    # one exact bytes object joins to itself, so stats copies nothing
     table = _resolve_table(args, b"".join(d for _, d in datas))
     rows = [(path, compare_report(data, table)) for path, data in datas]
     if args.csv:
         _write_text(args.out, render_csv(rows))
+    elif args.command == "stats":
+        _write_text(args.out, render_stats(*rows[0]))
     else:
         _write_text(args.out, render_comparison(rows))
     return EXIT_OK
@@ -208,18 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="analysis report for one input")
-    p.add_argument("input", help="input file, or - for stdin")
+    p.add_argument("inputs", nargs=1, metavar="input", help="input file, or - for stdin")
     _add_table_flags(p, required=False)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("compare", help="side-by-side report for several inputs")
     p.add_argument("inputs", nargs="+", help="input files, - for stdin")
     _add_table_flags(p, required=False)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -239,20 +239,17 @@ def _parse_container(data: bytes) -> tuple[CodeTable, int, bytes, bool]:
         for ctx in iter_contexts(h, order):
             row = []
             for _ in range(h):
-                if cursor < size:
-                    raw = data[cursor : cursor + 1 + (data[cursor] + 7) // 8]
-                    word = decoded.get(raw)
-                    if word is not None:
-                        cursor += len(raw)
-                        row.append(word)
-                        continue
-                start = cursor
-                length = take(1)[0]
-                if length == 0:
-                    raise ContainerError("codeword length 0")
-                word = unpack_bits(PackedBits(take((length + 7) // 8), length))
-                decoded[data[start:cursor]] = word
+                end = cursor + 1 + (data[cursor] + 7) // 8 if cursor < size else cursor + 1
+                raw = data[cursor:end]
+                word = decoded.get(raw)
+                if word is None:
+                    if end > size:
+                        raise ContainerError("truncated container")
+                    if raw[0] == 0:
+                        raise ContainerError("codeword length 0")
+                    word = decoded[raw] = unpack_bits(PackedBits(raw[1:], raw[0]))
                 row.append(word)
+                cursor = end
             rows[ctx] = tuple(row)
         table = CodeTable(alphabet=alphabet, order=order, rows=rows)
     else:
@@ -325,11 +322,12 @@ def table_from_text(text: str) -> CodeTable:
 
     line_no, line = entries[0]
     fields = line.split()
-    if len(fields) != 2 or fields[0] != "order":
+    # int() alone would also take a sign, "_" or non-ASCII digits
+    if len(fields) != 2 or fields[0] != "order" or not (fields[1].isascii() and fields[1].isdigit()):
         raise TableError(f"line {line_no}: expected 'order <n>'")
     try:
         order = int(fields[1])
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise TableError(f"line {line_no}: expected 'order <n>'") from None
     if order < 1:
         raise TableError(f"line {line_no}: order must be at least 1")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .codec import DecodeError, EncodeError, _code, _greedy_decode, _greedy_encode
+from .codec import DecodeError, EncodeError, _code, _greedy_decode, _greedy_encode, _window
 from .core import (
     AdaptiveCodeError,
     Alphabet,
@@ -83,13 +83,13 @@ class AdaptiveFunction(Record):
 
 
 def order_n_function(n: int) -> AdaptiveFunction:
-    """The suffix-window rule of a fixed order: at position i the context is
+    """The suffix-window rule of order-n tables: at position i the context is
     the last min(i-1, n) symbols."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise AdaptiveCodeError(f"order must be an int, got {n!r}")
     if n < 1:
         raise AdaptiveCodeError("order must be at least 1")
-    return AdaptiveFunction(lambda position, prefix: prefix[-n:], max_context=n)
+    return AdaptiveFunction(_window(n), max_context=n)
 
 
 class GACode(Record):

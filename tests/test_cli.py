@@ -1,11 +1,15 @@
 """Command line behavior: subcommands, exit codes, IO discipline."""
 
+import contextlib
 import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+
+from hypothesis import given, settings, strategies as st
 
 from adacode import (
     CSV_COLUMNS,
@@ -23,6 +27,7 @@ from adacode.cli import main
 from helpers import example_order2_table, nonprefix_order2_table
 
 W1 = b"abbbcabccaabccabbcba"
+W2 = b"abbbccbccaabccaaacba"
 
 
 def fake_stdin(monkeypatch, data: bytes) -> None:
@@ -354,7 +359,7 @@ def test_compare_two_inputs(tmp_path, capsys):
     f1 = tmp_path / "w1"
     f2 = tmp_path / "w2"
     f1.write_bytes(W1)
-    f2.write_bytes(b"abbbccbccaabccaaacba")
+    f2.write_bytes(W2)
     assert main(["compare", str(f1), str(f2)]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 3
@@ -407,3 +412,137 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == table_to_text(build_order1(alphabet_from_bytes(b"ab")))
+
+
+STATS_W1 = """\
+string-id: w1
+length: 20
+pairs: {2,3,8,10,13,16}
+nrpairs: 6
+prate: 0.300000
+eh: {2,5,6,7,8,10,12,13,15,16,18,19,20}
+adaptive_bits: 33
+huffman_bits: 32
+H: 1.570951
+R: 1.600000
+LNotHuffman: 7
+LHuffman: 19.854753
+H_A: 26.854753
+R_A: 1.650000
+winner: huffman
+huffman_bound_ok: true (H <= R <= H+1)
+adaptive_bound_totals_ok: false (H_A <= adaptive_bits <= H_A+1)
+adaptive_bound_rates_ok: true (H_A/length <= R_A <= H_A/length+1)
+"""
+STATS_W2 = """\
+string-id: w2
+length: 20
+pairs: {2,3,5,8,10,13,15,16}
+nrpairs: 8
+prate: 0.400000
+eh: {2,5,7,8,10,12,13,15,18,19,20}
+adaptive_bits: 31
+huffman_bits: 33
+H: 1.581291
+R: 1.650000
+LNotHuffman: 9
+LHuffman: 21.000000
+H_A: 30.000000
+R_A: 1.550000
+winner: adaptive
+huffman_bound_ok: true (H <= R <= H+1)
+adaptive_bound_totals_ok: true (H_A <= adaptive_bits <= H_A+1)
+adaptive_bound_rates_ok: true (H_A/length <= R_A <= H_A/length+1)
+"""
+CSV_HEADER = "string-id,length,nrpairs,prate,adaptive_bits,huffman_bits,H,R,LNotHuffman,LHuffman,H_A,R_A\n"
+CSV_W1 = "w1,20,6,0.300000,33,32,1.570951,1.600000,7,19.854753,26.854753,1.650000\n"
+CSV_W2 = "w2,20,8,0.400000,31,33,1.581291,1.650000,9,21.000000,30.000000,1.550000\n"
+COMPARE_W1_W2 = """\
+string-id  length  nrpairs  prate     adaptive_bits  huffman_bits  H         R         LNotHuffman  LHuffman   H_A        R_A       winner
+w1         20      6        0.300000  33             32            1.570951  1.600000  7            19.854753  26.854753  1.650000  huffman
+w2         20      8        0.400000  31             33            1.581291  1.650000  9            21.000000  30.000000  1.550000  adaptive
+"""
+
+
+def test_report_golden_output(tmp_path, monkeypatch, capsys):
+    # the full stdout of the report commands on the paper's reference strings
+    monkeypatch.chdir(tmp_path)
+    Path("w1").write_bytes(W1)
+    Path("w2").write_bytes(W2)
+    for argv, expected in (
+        (["stats", "w1"], STATS_W1),
+        (["stats", "w2"], STATS_W2),
+        (["stats", "w1", "--csv"], CSV_HEADER + CSV_W1),
+        (["stats", "w2", "--csv"], CSV_HEADER + CSV_W2),
+        (["compare", "w1", "w2"], COMPARE_W1_W2),
+        (["compare", "w1", "w2", "--csv"], CSV_HEADER + CSV_W1 + CSV_W2),
+    ):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
+def test_report_usage_lines(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, usage in (
+        ("stats", "usage: adacode stats [-h] [--table PATH | --builder] [--alphabet LITERAL]\n"
+         "                     [--from-corpus PATH] [--csv] [--out PATH]\n"
+         "                     input\n\n"
+         "positional arguments:\n"
+         "  input               input file, or - for stdin\n\n"),
+        ("compare", "usage: adacode compare [-h] [--table PATH | --builder] [--alphabet LITERAL]\n"
+         "                       [--from-corpus PATH] [--csv] [--out PATH]\n"
+         "                       inputs [inputs ...]\n\n"
+         "positional arguments:\n"
+         "  inputs              input files, - for stdin\n\n"),
+    ):
+        assert main([command, "-h"]) == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+
+ABC_TABLE = build_order1(alphabet_from_bytes(b"abc"))
+ROBUSTNESS_CONTAINERS = (
+    write_container(ABC_TABLE, len(W1), encode(ABC_TABLE, W1)),
+    write_container(example_order2_table(), 12, encode(example_order2_table(), b"abbabaabbbab")),
+)
+ROBUSTNESS_TABLES = tuple(
+    table_to_text(t) for t in (ABC_TABLE, example_order2_table(), nonprefix_order2_table())
+)
+TEXT_PIECES = st.one_of(
+    st.sampled_from(("\\x", "\\x6", "order", "alphabet", "\n~ a ", " 0\n")),
+    st.text("01 \n\t~abcx\\#+-_9\xff\u0100\u0661", min_size=1, max_size=3),
+)
+
+
+@st.composite
+def _mutated(draw, base, pieces):
+    """base after one to three edits, each substituting a piece for one item
+    or inserting one, then perhaps truncated, and cut to 4 KiB. Positions are
+    uniform, so that edits reach past the header."""
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(1, 3))):
+        i = rng.randint(0, len(base))
+        base = base[:i] + draw(pieces) + base[i + draw(st.integers(0, 1)) :]
+    if draw(st.booleans()):
+        base = base[: rng.randint(0, len(base))]
+    return base[:4096]
+
+
+@given(
+    st.sampled_from(ROBUSTNESS_CONTAINERS).flatmap(lambda c: _mutated(c, st.binary(min_size=1, max_size=8))),
+    st.sampled_from(ROBUSTNESS_TABLES).flatmap(lambda t: _mutated(t, TEXT_PIECES)),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_inputs_end_with_an_exit_code(container, table_text):
+    # every data input ends in an exit code from 0 to 4, never an escaped exception
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        source, adc, table, out = (os.path.join(tmp, name) for name in ("in", "adc", "t", "out"))
+        Path(source).write_bytes(W1)
+        Path(adc).write_bytes(container)
+        Path(table).write_text(table_text, encoding="utf-8")
+        for argv in (
+            ["decode", adc],
+            ["verify", table],
+            ["encode", source, "--table", table],
+            ["stats", source, "--table", table],
+        ):
+            assert main(argv + ["--out", out]) in range(5)

@@ -400,8 +400,10 @@ def test_table_text_parse_errors():
         table_from_text("# nothing here\n")
     with pytest.raises(TableError, match="line 1: expected 'order <n>'"):
         table_from_text("ordre 1\nalphabet ab\n")
-    with pytest.raises(TableError, match="line 1: expected 'order <n>'"):
-        table_from_text("order x\nalphabet ab\n")
+    # only ASCII decimal digits: int() alone would read the last four as 1, 10, 1 and -1
+    for order in ("x", "+1", "1_0", "\u0661", "-1"):
+        with pytest.raises(TableError, match="^line 1: expected 'order <n>'$"):
+            table_from_text(f"order {order}\nalphabet ab\n")
     with pytest.raises(TableError, match="line 1: order must be at least 1"):
         table_from_text("order 0\nalphabet ab\n")
     with pytest.raises(TableError, match="line 2: expected 'alphabet <symbols>'"):
