@@ -17,10 +17,11 @@ from .builder import build_order1
 from .codec import DecodeError, EncodeError, encode
 from .container import (
     ContainerError,
+    _container_mode,
     _decode_container,
+    _write_container,
     table_from_text,
     table_to_text,
-    write_container,
 )
 from .core import AdaptiveCodeError, Alphabet, TableError, alphabet_from_bytes, format_context
 from .prefix import prefix_violation
@@ -98,12 +99,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     data = _read_input(args.input)
     table = _resolve_table(args, data)
-    bits = encode(table, data)
-    try:
-        blob = write_container(table, len(data), bits)
+    try:  # refuse a table no container can store before encoding with it
+        mode = _container_mode(table)
     except ContainerError as exc:
         raise EncodeError(str(exc)) from exc
-    _write_bytes(args.out, blob)
+    bits = encode(table, data)
+    _write_bytes(args.out, _write_container(table, len(data), bits, mode))
     return EXIT_OK
 
 

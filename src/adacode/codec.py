@@ -7,7 +7,8 @@ the next bits. As in zlib's inflate, each row is built once into a table of
 256 entries indexed by the next 8 bits, read from a buffer of every bit
 offset's window byte, and longer codewords go on through sub-tables. There
 is one encode loop and one decode loop; the table codec and the GA codes of
-adacode.ga supply only their context rule, their rows and their error wording.
+adacode.ga supply only their context rule, a cache of their rows and one
+callback for a context not in it, which also words their errors.
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ class IncrementalEncoder:
         buf = self._tail + data
         start = len(self._tail)
 
-        def row(window: bytes) -> dict[int, list]:
+        def missing(window: bytes, position: int) -> tuple[bytes, dict[int, list]]:
             words = table.rows.get(tuple(map(index_of, window)), ())
-            return {value: [word, None] for value, word in zip(table.alphabet.symbols, words)}
+            cells = {value: [word, None] for value, word in zip(table.alphabet.symbols, words)}
+            self._codes[window] = cells
+            return window, cells
 
         def fail(index: int, window: bytes) -> EncodeError:
             position = self._position + index - start + 1
@@ -99,7 +102,7 @@ class IncrementalEncoder:
                 return EncodeError(f"{exc} (position {position})", position)
 
         bits = _greedy_encode(
-            buf, start, _window(table.order), None, self._codes, row, fail, fixed_window=True
+            buf, start, _window(table.order), self._codes, missing, fail, fixed_window=True
         )
         self._position += len(buf) - start
         self._tail = buf[-table.order :]
@@ -121,9 +124,8 @@ def _greedy_encode(
     data: bytes,
     start: int,
     context: Callable[[int, memoryview], object],
-    check: Callable[[object, int], bytes] | None,
     codes: dict,
-    row: Callable[[bytes], dict[int, list]],
+    missing: Callable[[object, int], tuple[bytes, dict[int, list]]],
     fail: Callable[[int, bytes], EncodeError],
     fixed_window: bool = False,
 ) -> str:
@@ -133,9 +135,9 @@ def _greedy_encode(
     maps a context's bytes to its cells, a dict from byte value to
     [codeword, next cells]. A result that is bytes, or a one-dimensional 'B'
     memoryview, whose bytes are a key of codes is used as it is; any other
-    result goes to check(result, position), which raises or returns its
-    bytes (None: results are always bytes), and row(ctx) builds the cells of
-    a context not in codes yet. A byte without a cell raises fail(index,
+    result goes to missing(result, position), which raises or returns the
+    bytes of the context it names and that context's cells. The loop never
+    writes codes; missing may. A byte without a cell raises fail(index,
     ctx). With fixed_window, a cell caches the cells of the next context, as
     in _greedy_decode.
     """
@@ -149,11 +151,7 @@ def _greedy_encode(
                 ctx = ctx.tobytes()
             code = codes.get(ctx) if type(ctx) is bytes else None
             if code is None:
-                if check is not None:
-                    ctx = check(ctx, i + 1)
-                    code = codes.get(ctx)
-                if code is None:
-                    code = codes[ctx] = row(ctx)
+                ctx, code = missing(ctx, i + 1)
             if fixed_window and cell is not None:
                 cell[1] = code
         cell = code.get(data[i])
@@ -212,20 +210,20 @@ def _greedy_decode(
     bits: str | bytes,
     max_symbols: int | None,
     context: Callable[[int, memoryview], object],
-    check: Callable[[object, int], bytes] | None,
     codes: dict,
-    row: Callable[[bytes, int], list],
+    missing: Callable[[object, int, int], tuple[bytes, list]],
     fixed_window: bool = False,
 ) -> DecodeTrace:
     """The greedy decode loop behind decode() and ga_decode(). The context of
     the symbol at 1-based position p is named by context(p, prior) from a
-    read-only view of the p-1 bytes decoded before it, and looked up and
-    checked as in _greedy_encode. codes maps a context's bytes to its decode
-    table (see _code); row(ctx, cursor) builds one not in codes yet or raises
-    DecodeError. windows[i] is the 8 bits from bit i, zeros past the end. With
-    fixed_window, a cell caches the code of the next context. Every
-    DecodeError raised once decoding has started names the position and the
-    context of the symbol being decoded."""
+    read-only view of the p-1 bytes decoded before it, and looked up as in
+    _greedy_encode. codes maps a context's bytes to its decode table (see
+    _code); a result that is not a key goes to missing(result, p, cursor),
+    which returns the bytes of the context it names and its decode table, or
+    raises a DecodeError that carries that context. windows[i] is the 8 bits
+    from bit i, zeros past the end. With fixed_window, a cell caches the code
+    of the next context. Every DecodeError raised once decoding has started
+    names the position and the context of the symbol being decoded."""
     if not isinstance(bits, (str, bytes)):
         raise DecodeError(f"bit sequence must be a str or bytes, not {type(bits).__name__}")
     if isinstance(bits, str) and not is_bits(bits):
@@ -249,15 +247,11 @@ def _greedy_decode(
                 ctx = ctx.tobytes()
             code = codes.get(ctx) if type(ctx) is bytes else None
             if code is None:
-                if check is not None:
-                    ctx = check(ctx, count + 1)
-                    code = codes.get(ctx)
-                if code is None:
-                    try:
-                        code = codes[ctx] = row(ctx, cursor)
-                    except DecodeError as exc:
-                        exc.position, exc.context = count + 1, ctx
-                        raise
+                try:
+                    ctx, code = missing(ctx, count + 1, cursor)
+                except DecodeError as exc:
+                    exc.position = count + 1
+                    raise
             if fixed_window and cell is not None:
                 cell[1] = code
         cell = code[windows[cursor]]
@@ -295,11 +289,14 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
     if not prefix_predicate(table):
         raise DecodeError("table has a context row that is not a prefix code; decoding refused")
 
-    def row(window: bytes, cursor: int) -> list:
+    codes: dict[bytes, list] = {}
+
+    def missing(window: bytes, position: int, cursor: int) -> tuple[bytes, list]:
         ctx = tuple(map(table.alphabet.index_of, window))
         if ctx not in table.rows:
             name = f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}"
-            raise DecodeError(f"no codeword row for context {name}", cursor)
-        return _code(zip(table.alphabet.symbols, table.rows[ctx]))
+            raise DecodeError(f"no codeword row for context {name}", cursor, context=window)
+        code = codes[window] = _code(zip(table.alphabet.symbols, table.rows[ctx]))
+        return window, code
 
-    return _greedy_decode(bits, max_symbols, _window(table.order), None, {}, row, fixed_window=True)
+    return _greedy_decode(bits, max_symbols, _window(table.order), codes, missing, fixed_window=True)

@@ -43,6 +43,7 @@ is \\xNN. Lines starting with # and blank lines are ignored.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .builder import build_order1
@@ -120,12 +121,24 @@ def _check_container_alphabet(values: Sequence[int]) -> None:
         raise ContainerError("container alphabets must be strictly increasing byte values")
 
 
-def _is_builder_table(table: CodeTable) -> bool:
-    return (
-        table.order == 1
-        and table.alphabet.size >= 2
-        and table == build_order1(table.alphabet)
-    )
+def _container_mode(table: CodeTable, builder_mode: bool | None = None) -> int:
+    """The mode byte of a container of table, or ContainerError if no
+    container can store it. builder_mode as in write_container."""
+    if not 1 <= table.order <= 255:
+        raise ContainerError("container order must be between 1 and 255")
+    _check_container_alphabet(table.alphabet.symbols)
+    if builder_mode is None or builder_mode:
+        if table.order == 1 and table.alphabet.size >= 2 and table == build_order1(table.alphabet):
+            return MODE_BUILDER
+        if builder_mode:
+            raise ContainerError(
+                "table is not the implied order-1 construction for its alphabet"
+            )
+    if not table.is_total():
+        raise ContainerError("explicit containers require a total table")
+    if max(map(len, chain.from_iterable(table.rows.values()))) > 255:
+        raise ContainerError("codeword longer than 255 bits")
+    return MODE_EXPLICIT
 
 
 def write_container(
@@ -141,18 +154,11 @@ def write_container(
     an error; explicit mode requires a total table.
     """
     _check_symbol_count(symbol_count)
-    if not 1 <= table.order <= 255:
-        raise ContainerError("container order must be between 1 and 255")
-    _check_container_alphabet(table.alphabet.symbols)
-    if builder_mode is None:
-        builder_mode = _is_builder_table(table)
-    elif builder_mode and not _is_builder_table(table):
-        raise ContainerError(
-            "table is not the implied order-1 construction for its alphabet"
-        )
-    if not builder_mode and not table.is_total():
-        raise ContainerError("explicit containers require a total table")
+    return _write_container(table, symbol_count, payload_bits, _container_mode(table, builder_mode))
 
+
+def _write_container(table: CodeTable, symbol_count: int, payload_bits: str, mode: int) -> bytes:
+    """write_container for a mode that _container_mode gave for this table."""
     h = table.alphabet.size
     out = bytearray()
     out += MAGIC
@@ -161,16 +167,14 @@ def write_container(
     out += h.to_bytes(2, "big")
     out += bytes(table.alphabet.symbols)
     out += symbol_count.to_bytes(8, "big")
-    out.append(MODE_BUILDER if builder_mode else MODE_EXPLICIT)
-    if not builder_mode:
+    out.append(mode)
+    if mode == MODE_EXPLICIT:
         # codeword -> its length byte and packed bits; rows repeat codewords
         encoded: dict[Codeword, bytes] = {}
         for ctx in iter_contexts(h, table.order):
             for word in table.rows[ctx]:
                 raw = encoded.get(word)
                 if raw is None:
-                    if len(word) > 255:
-                        raise ContainerError("codeword longer than 255 bits")
                     raw = encoded[word] = bytes((len(word),)) + pack_bits(word).data
                 out += raw
     out += pack_bits(payload_bits).data
@@ -290,7 +294,7 @@ def table_to_text(table: CodeTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_symbol_values(text: str, line_no: int) -> list[int]:
+def _parse_symbol_values(text: str) -> list[int]:
     values = []
     i = 0
     while i < len(text):
@@ -299,12 +303,12 @@ def _parse_symbol_values(text: str, line_no: int) -> list[int]:
             # int() alone would also take a sign or non-ASCII digits
             digits = text[i + 2 : i + 4]
             if text[i + 1 : i + 2] != "x" or len(digits) != 2 or not set(digits) <= _HEX_DIGITS:
-                raise TableError(f"line {line_no}: bad escape in '{text}'")
+                raise TableError(f"bad escape in '{text}'")
             values.append(int(digits, 16))
             i += 4
         else:
             if ord(ch) > 255:
-                raise TableError(f"line {line_no}: '{ch}' is not a single byte")
+                raise TableError(f"'{ch}' is not a single byte")
             values.append(ord(ch))
             i += 1
     return values
@@ -320,78 +324,64 @@ def table_from_text(text: str) -> CodeTable:
     if len(entries) < 2:
         raise TableError("table text needs an order line and an alphabet line")
 
-    line_no, line = entries[0]
-    fields = line.split()
-    # int() alone would also take a sign, "_" or non-ASCII digits
-    if len(fields) != 2 or fields[0] != "order" or not (fields[1].isascii() and fields[1].isdigit()):
-        raise TableError(f"line {line_no}: expected 'order <n>'")
-    try:
-        order = int(fields[1])
-    except ValueError:  # more digits than int() converts
-        raise TableError(f"line {line_no}: expected 'order <n>'") from None
-    if order < 1:
-        raise TableError(f"line {line_no}: order must be at least 1")
-
-    line_no, line = entries[1]
-    fields = line.split()
-    if len(fields) != 2 or fields[0] != "alphabet":
-        raise TableError(f"line {line_no}: expected 'alphabet <symbols>'")
-    values = _parse_symbol_values(fields[1], line_no)
-    if len(set(values)) != len(values):
-        raise TableError(f"line {line_no}: alphabet symbols must be distinct")
-    alphabet = Alphabet(tuple(values))
-
     cells: dict[Context, dict[int, str]] = {}
     # Fields repeat from line to line. Only fields that passed their checks
     # are remembered, so an error still names the first line that has it.
-    contexts: dict[str, Context] = {}
+    contexts: dict[str, Context] = {"~": ()}
     symbols: dict[str, int] = {}
     codewords: set[str] = set()
-    for line_no, line in entries[2:]:
+    line_no, line = entries[0]
+    try:
         fields = line.split()
-        if len(fields) != 3:
-            raise TableError(
-                f"line {line_no}: expected '<context> <symbol> <bits>', got '{line}'"
-            )
-        ctx_field, symbol_field, bits = fields
-        ctx = contexts.get(ctx_field)
-        if ctx is None:
-            if ctx_field == "~":
-                ctx = ()
-            else:
-                ctx_values = _parse_symbol_values(ctx_field, line_no)
-                try:
-                    ctx = tuple(alphabet.index_of(v) for v in ctx_values)
-                except TableError as exc:
-                    raise TableError(f"line {line_no}: {exc}") from None
-            if len(ctx) > order:
-                raise TableError(f"line {line_no}: context longer than order {order}")
-            contexts[ctx_field] = ctx
-        symbol = symbols.get(symbol_field)
-        if symbol is None:
-            symbol_values = _parse_symbol_values(symbol_field, line_no)
-            if len(symbol_values) != 1:
+        # int() alone would also take a sign, "_" or non-ASCII digits
+        digits = fields[-1]
+        if len(fields) != 2 or fields[0] != "order" or not (digits.isascii() and digits.isdigit()):
+            raise TableError("expected 'order <n>'")
+        try:
+            order = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise TableError("expected 'order <n>'") from None
+        if order < 1:
+            raise TableError("order must be at least 1")
+
+        line_no, line = entries[1]
+        fields = line.split()
+        if len(fields) != 2 or fields[0] != "alphabet":
+            raise TableError("expected 'alphabet <symbols>'")
+        values = _parse_symbol_values(fields[1])
+        if len(set(values)) != len(values):
+            raise TableError("alphabet symbols must be distinct")
+        alphabet = Alphabet(tuple(values))
+
+        for line_no, line in entries[2:]:
+            fields = line.split()
+            if len(fields) != 3:
+                raise TableError(f"expected '<context> <symbol> <bits>', got '{line}'")
+            ctx_field, symbol_field, bits = fields
+            ctx = contexts.get(ctx_field)
+            if ctx is None:
+                ctx = tuple(map(alphabet.index_of, _parse_symbol_values(ctx_field)))
+                if len(ctx) > order:
+                    raise TableError(f"context longer than order {order}")
+                contexts[ctx_field] = ctx
+            symbol = symbols.get(symbol_field)
+            if symbol is None:
+                symbol_values = _parse_symbol_values(symbol_field)
+                if len(symbol_values) != 1:
+                    raise TableError(f"expected a single symbol, got '{symbol_field}'")
+                symbol = symbols[symbol_field] = alphabet.index_of(symbol_values[0])
+            if bits not in codewords:
+                if not bits or not is_bits(bits):
+                    raise TableError(f"codeword must be nonempty bits, got '{bits}'")
+                codewords.add(bits)
+            row = cells.setdefault(ctx, {})
+            if symbol in row:
                 raise TableError(
-                    f"line {line_no}: expected a single symbol, got '{symbol_field}'"
+                    f"duplicate cell for context '{ctx_field}' and symbol '{symbol_field}'"
                 )
-            try:
-                symbol = alphabet.index_of(symbol_values[0])
-            except TableError as exc:
-                raise TableError(f"line {line_no}: {exc}") from None
-            symbols[symbol_field] = symbol
-        if bits not in codewords:
-            if not bits or not is_bits(bits):
-                raise TableError(
-                    f"line {line_no}: codeword must be nonempty bits, got '{bits}'"
-                )
-            codewords.add(bits)
-        row = cells.setdefault(ctx, {})
-        if symbol in row:
-            raise TableError(
-                f"line {line_no}: duplicate cell for context '{ctx_field}' "
-                f"and symbol '{symbol_field}'"
-            )
-        row[symbol] = bits
+            row[symbol] = bits
+    except TableError as exc:
+        raise TableError(f"line {line_no}: {exc}") from None
 
     h = alphabet.size
     rows: dict[Context, tuple[Codeword, ...]] = {}

@@ -154,8 +154,11 @@ def ga_encode(code: GACode, data: bytes) -> str:
             index + 1,
         )
 
-    rule, check = _rule_and_check(code.function)
-    return _greedy_encode(data, 0, rule, check, dict(code._cells), lambda ctx: {}, fail)
+    def missing(raw: object, position: int) -> tuple[bytes, dict]:
+        ctx = bytes(code.function._context(raw, position))
+        return ctx, code._cells.get(ctx, {})
+
+    return _greedy_encode(data, 0, code.function.rule, code._cells, missing, fail)
 
 
 def ga_decode(code: GACode, bits: str | bytes) -> bytes:
@@ -163,18 +166,14 @@ def ga_decode(code: GACode, bits: str | bytes) -> bytes:
     bits each, most significant first. Rows are checked once per code; one
     that is not a prefix code raises only when decoding visits its context."""
 
-    def row(ctx: bytes, cursor: int) -> list:
+    def missing(raw: object, position: int, cursor: int) -> tuple[bytes, list]:
+        ctx = bytes(code.function._context(raw, position))
+        if ctx in code._codes:
+            return ctx, code._codes[ctx]
         name = format_context(_BYTE_VALUES, ctx)
         if ctx in code._cells:
-            raise DecodeError(f"non-prefix row at visited context '{name}'")
-        raise DecodeError(f"no codewords for context '{name}' at bit offset {cursor}", cursor)
+            raise DecodeError(f"non-prefix row at visited context '{name}'", context=ctx)
+        message = f"no codewords for context '{name}' at bit offset {cursor}"
+        raise DecodeError(message, cursor, context=ctx)
 
-    rule, check = _rule_and_check(code.function)
-    # row never returns, so the code's own cache is never written
-    return _greedy_decode(bits, None, rule, check, code._codes, row).output
-
-
-def _rule_and_check(function: AdaptiveFunction) -> tuple[Callable, Callable]:
-    """What the coding loops call: the bare rule, and the check of a result
-    that is not a known context, giving the bytes of the context it names."""
-    return function.rule, lambda raw, position: bytes(function._context(raw, position))
+    return _greedy_decode(bits, None, code.function.rule, code._codes, missing).output

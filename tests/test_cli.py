@@ -20,7 +20,7 @@ from adacode import (
     table_to_text,
     write_container,
 )
-from adacode import container
+from adacode import cli, container
 from adacode.builder import build_order1
 from adacode.cli import main
 
@@ -173,6 +173,29 @@ def test_encode_partial_table_cannot_be_containerized(tmp_path, capsys):
     inp.write_bytes(b"aa")
     assert main(["encode", str(inp), "--table", str(table_file)]) == 3
     assert "total table" in capsys.readouterr().err
+
+
+def test_encode_refuses_an_unstorable_table_before_encoding(tmp_path, monkeypatch, capsys):
+    def no_encode(table, data):
+        raise AssertionError("encode ran with a table no container can store")
+
+    monkeypatch.setattr(cli, "encode", no_encode)
+    long_word = "1" + "0" * 255
+    tables = [
+        ("order 1\nalphabet ab\n~ a 0\n~ b 1\na a 0\na b 1\n", "explicit containers require a total table"),
+        ("order 256\nalphabet ab\n~ a 0\n~ b 1\n", "container order must be between 1 and 255"),
+        (
+            f"order 1\nalphabet ab\n~ a 0\n~ b {long_word}\na a 0\na b 1\nb a 0\nb b 1\n",
+            "codeword longer than 255 bits",
+        ),
+    ]
+    inp = tmp_path / "input"
+    inp.write_bytes(b"aa")
+    table_file = tmp_path / "table.txt"
+    for text, message in tables:
+        table_file.write_text(text)
+        assert main(["encode", str(inp), "--table", str(table_file)]) == 3
+        assert capsys.readouterr().err == f"adacode: {message}\n"
 
 
 def test_encode_requires_table_choice(tmp_path, capsys):
