@@ -9,20 +9,29 @@ Container layout, all integers big-endian:
     h       2 bytes   alphabet size
     alpha   h bytes   symbol values, strictly increasing
     s       8 bytes   number of source symbols in the payload
-    mode    1 byte    0x00 implied order-1 table, 0x01 explicit table
-    table   mode 0x01 only: one row per context, every context up to the
-            order in canonical enumeration order (empty first, then by
-            length, then lexicographic index order); each row holds h
-            codewords, each codeword a length byte 1..255 followed by
-            ceil(len/8) MSB-first bytes, zero-padded
+    mode    1 byte    0x00 implied order-1 table, 0x01 explicit table,
+                      0x02 canonical code lengths
+    table   modes 0x01 and 0x02 only: one row per context, every context up
+            to the order in canonical enumeration order (empty first, then
+            by length, then lexicographic index order), each row h entries
+            in alphabet index order. Mode 0x01: each entry is a codeword, a
+            length byte 1..255 followed by ceil(len/8) MSB-first bytes,
+            zero-padded. Mode 0x02: each entry is a code length 1..15 in
+            4 bits, two to a byte, high nibble first; an odd final nibble
+            is 0
     payload encoded bits, MSB-first, zero-padded to a byte boundary
 
 Mode 0x00 stores no table; the reader rebuilds it with build_order1 from
-the alphabet, which requires order 1 and at least two symbols. Explicit
-tables are read and written once per distinct codeword encoding: the rows
-of an order-n table repeat a few codewords many times, so the writer packs
-each distinct codeword once and the reader unpacks each distinct run of
-length byte and bits once, and rows share the resulting strings. The payload
+the alphabet, which requires order 1 and at least two symbols. Any other
+table whose every row is the canonical code of its own lengths
+(prefix.canonical_codewords, as in DEFLATE) and whose codewords have at most
+15 bits is written in mode 0x02, which stores only those lengths; the
+reader rebuilds each row, and refuses rows whose Kraft sum exceeds 1, so
+every row it returns is a prefix code. Other tables use mode 0x01, which is
+read and written once per distinct codeword encoding: the rows of an
+order-n table repeat a few codewords many times, so the writer packs each
+distinct codeword once and the reader unpacks each distinct run of length
+byte and bits once, and rows share the resulting strings. The payload
 length in bits is not stored: the reader decodes exactly s symbols and
 treats leftover bits as padding, which must be fewer than 8 and all zero.
 
@@ -37,8 +46,8 @@ two header lines:
     ...
 
 `~` denotes the empty context. Symbols use the same escaping as everywhere
-else: printable ASCII except backslash and tilde is literal, anything else
-is \\xNN. Lines starting with # and blank lines are ignored.
+else: printable ASCII except #, backslash and tilde is literal, anything
+else is \\xNN. Lines starting with # and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -61,11 +70,16 @@ from .core import (
     is_bits,
     iter_contexts,
 )
+from .prefix import canonical_codewords
 
 MAGIC = b"ADC1"
 VERSION = 0x01
 MODE_BUILDER = 0x00
 MODE_EXPLICIT = 0x01
+MODE_LENGTHS = 0x02
+# code lengths 0..15 <-> the hex digits that bytes.fromhex and bytes.hex use
+_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+_FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -136,9 +150,22 @@ def _container_mode(table: CodeTable, builder_mode: bool | None = None) -> int:
             )
     if not table.is_total():
         raise ContainerError("explicit containers require a total table")
-    if max(map(len, chain.from_iterable(table.rows.values()))) > 255:
+    longest = max(map(len, chain.from_iterable(table.rows.values())))
+    if longest > 255:
         raise ContainerError("codeword longer than 255 bits")
-    return MODE_EXPLICIT
+    return MODE_LENGTHS if longest <= 15 and _is_canonical(table) else MODE_EXPLICIT
+
+
+def _is_canonical(table: CodeTable) -> bool:
+    """True if every row is the canonical code of its own codeword lengths."""
+    words: dict[int, Codeword] = {}
+    try:
+        return all(
+            row == canonical_codewords(bytes(map(len, row)), words)
+            for row in table.rows.values()
+        )
+    except AdaptiveCodeError:  # oversubscribed lengths have no canonical code
+        return False
 
 
 def write_container(
@@ -151,7 +178,8 @@ def write_container(
 
     builder_mode None picks mode 0x00 automatically when the table equals
     its alphabet's build_order1 result. Forcing True on any other table is
-    an error; explicit mode requires a total table.
+    an error. Any other table must be total; it is stored as code lengths
+    (mode 0x02) when every row is canonical, else codeword by codeword.
     """
     _check_symbol_count(symbol_count)
     return _write_container(table, symbol_count, payload_bits, _container_mode(table, builder_mode))
@@ -168,7 +196,13 @@ def _write_container(table: CodeTable, symbol_count: int, payload_bits: str, mod
     out += bytes(table.alphabet.symbols)
     out += symbol_count.to_bytes(8, "big")
     out.append(mode)
-    if mode == MODE_EXPLICIT:
+    if mode == MODE_LENGTHS:
+        contexts = iter_contexts(h, table.order)
+        lengths = b"".join(bytes(map(len, table.rows[ctx])) for ctx in contexts)
+        if len(lengths) % 2:
+            lengths += b"\0"  # the pad nibble
+        out += bytes.fromhex(lengths.translate(_TO_HEX).decode())
+    elif mode == MODE_EXPLICIT:
         # codeword -> its length byte and packed bits; rows repeat codewords
         encoded: dict[Codeword, bytes] = {}
         for ctx in iter_contexts(h, table.order):
@@ -256,6 +290,30 @@ def _parse_container(data: bytes) -> tuple[CodeTable, int, bytes, bool]:
                 cursor = end
             rows[ctx] = tuple(row)
         table = CodeTable(alphabet=alphabet, order=order, rows=rows)
+    elif mode == MODE_LENGTHS:
+        count = h * sum(h**k for k in range(order + 1))
+        size = (count + 1) // 2
+        if size > len(data) - cursor:
+            raise ContainerError(
+                f"truncated container: a code-length table needs {size} bytes, "
+                f"{len(data) - cursor} remain"
+            )
+        lengths = data[cursor : cursor + size].hex().encode().translate(_FROM_HEX)
+        cursor += size
+        if lengths[count:] not in (b"", b"\0"):
+            raise ContainerError("nonzero pad nibble after the code lengths")
+        lengths = lengths[:count]
+        words: dict[int, Codeword] = {}
+        try:
+            rows = {
+                ctx: canonical_codewords(lengths[start : start + h], words)
+                for ctx, start in zip(iter_contexts(h, order), range(0, count, h))
+            }
+        except AdaptiveCodeError as exc:
+            raise ContainerError(str(exc)) from None
+        table = CodeTable(alphabet=alphabet, order=order, rows=rows)
+        # a canonical code whose Kraft sum is at most 1 is a prefix code
+        object.__setattr__(table, "_prefix", True)
     else:
         raise ContainerError(f"unknown table mode {mode:#04x}")
     return table, symbol_count, data[cursor:], mode == MODE_BUILDER

@@ -29,10 +29,11 @@ class TableError(AdaptiveCodeError):
 def format_symbol(symbol: int) -> str:
     """Render a byte value for messages, reports, and the table text format.
 
-    Printable ASCII stands for itself; backslash, tilde, and everything
-    outside 33..126 render as a \\xNN escape so renderings stay unambiguous.
+    Printable ASCII stands for itself; #, backslash, tilde, and everything
+    outside 33..126 render as a \\xNN escape so renderings stay unambiguous
+    (a table text line starting with # would be a comment).
     """
-    if 33 <= symbol <= 126 and symbol not in (0x5C, 0x7E):
+    if 33 <= symbol <= 126 and symbol not in (0x23, 0x5C, 0x7E):
         return chr(symbol)
     return f"\\x{symbol:02x}"
 
@@ -175,7 +176,8 @@ class CodeTable(Record):
     missing context fails.
     """
 
-    # _prefix caches codec.prefix_predicate, set on its first call
+    # _prefix caches codec.prefix_predicate, set on its first call or by the
+    # container reader, which rebuilds code-length rows as prefix codes
     __slots__ = ("alphabet", "order", "rows", "_prefix")
     _fields = ("alphabet", "order", "rows")
 

@@ -4,7 +4,9 @@ The Huffman constructor is pinned so that equal inputs always produce
 bit-identical codes: leaves queue in (frequency, symbol) order, merging uses
 the two-queue method preferring the earlier-created node on weight ties, and
 codewords are assigned canonically in (length, symbol) order. The merge tree
-therefore only contributes the per-symbol code lengths.
+therefore only contributes the per-symbol code lengths. canonical_codewords
+is that assignment on its own, shared with the container's code-length
+tables.
 """
 
 from __future__ import annotations
@@ -97,21 +99,47 @@ def huffman_build(entries: Sequence[tuple[int, int]]) -> HuffmanResult:
         for s in syms_b:
             depth[s] += 1
         merged.append((weight_a + weight_b, syms_a + syms_b))
-    return HuffmanResult(_canonical(depth))
+    ordered = sorted(symbols)
+    return HuffmanResult(dict(zip(ordered, canonical_codewords([depth[s] for s in ordered]))))
 
 
-def _canonical(lengths: dict[int, int]) -> dict[int, Codeword]:
-    # Standard canonical assignment: visit symbols by (length, symbol) and
-    # hand out lexicographically increasing codewords.
-    out: dict[int, Codeword] = {}
-    code = 0
-    previous = 0
-    for symbol, length in sorted(lengths.items(), key=lambda kv: (kv[1], kv[0])):
-        code <<= length - previous
-        previous = length
-        out[symbol] = format(code, f"0{length}b")
-        code += 1
-    return out
+def canonical_codewords(
+    lengths: Sequence[int], words: dict[int, Codeword] | None = None
+) -> tuple[Codeword, ...]:
+    """The canonical code with these codeword lengths, one word per length in
+    the same order, as DEFLATE builds it (RFC 1951, 3.2.2): the words of
+    each length are consecutive binary numbers in order of position, and
+    the first of them follows the last shorter word, shifted left. Raises
+    AdaptiveCodeError for a length below 1 or lengths whose Kraft sum
+    exceeds 1; otherwise the words form a prefix code. words, if given, is
+    shared between calls and maps 1 << length | code to its codeword, so
+    equal words are one string.
+    """
+    if not lengths:
+        raise AdaptiveCodeError("a canonical code needs at least one length")
+    words = {} if words is None else words
+    # next_code[n] is the next free n-bit code, under a 1 bit that keeps its
+    # leading zeros: bin() of it without "0b1" is the codeword
+    next_code = [0]
+    code = count = counted = 0
+    for length in range(1, max(lengths) + 1):
+        code = (code + count) << 1
+        count = lengths.count(length)  # bl_count[length]
+        counted += count
+        if code + count > 1 << length:
+            raise AdaptiveCodeError(f"code lengths oversubscribe the {length}-bit codes")
+        next_code.append(1 << length | code)
+    if counted != len(lengths):
+        raise AdaptiveCodeError("code length below 1")
+    out = []
+    for length in lengths:
+        key = next_code[length]
+        next_code[length] = key + 1
+        word = words.get(key)
+        if word is None:
+            word = words[key] = bin(key)[3:]
+        out.append(word)
+    return tuple(out)
 
 
 def huffman_total_length(entries: Sequence[tuple[int, int]]) -> int:

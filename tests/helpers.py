@@ -203,3 +203,36 @@ def explicit_table_bytes(table: CodeTable) -> bytes:
                 packed[word] = bytes(cell)
             out += packed[word]
     return bytes(out)
+
+
+def length_table_bytes(table: CodeTable) -> bytes:
+    """Independent serializer of a code-length container's table section:
+    for each context, shortest first and then in index order, each
+    codeword's length in 4 bits, two to a byte, the first in the high bits,
+    and 4 zero bits after an odd last one. First asserts that every row is
+    the code RFC 1951, section 3.2.2, assigns to its lengths."""
+    nibbles: list[int] = []
+    for ctx in sorted(table.rows, key=lambda c: (len(c), c)):
+        row = table.rows[ctx]
+        lengths = [len(word) for word in row]
+        assert max(lengths) <= 15, f"context {ctx}: a length does not fit in 4 bits"
+        # step 1: count the number of codes for each code length
+        bl_count = [0] * 16
+        for length in lengths:
+            bl_count[length] += 1
+        # step 2: find the numerical value of the smallest code for each length
+        code = 0
+        bl_count[0] = 0
+        next_code = [0] * 16
+        for bits in range(1, 16):
+            code = (code + bl_count[bits - 1]) << 1
+            next_code[bits] = code
+        # step 3: assign consecutive values to the codes of one length, in order
+        for symbol, length in enumerate(lengths):
+            expected = bin(next_code[length])[2:].zfill(length)
+            assert row[symbol] == expected, f"context {ctx}, symbol {symbol}: not canonical"
+            next_code[length] += 1
+        nibbles.extend(lengths)
+    if len(nibbles) % 2:
+        nibbles.append(0)
+    return bytes(16 * high + low for high, low in zip(nibbles[0::2], nibbles[1::2]))

@@ -288,6 +288,17 @@ def test_verify_duplicate_codeword(tmp_path, capsys):
     assert "context ~: duplicate codeword 0" in capsys.readouterr().out
 
 
+def test_hash_symbol_survives_the_table_text(tmp_path, capsys):
+    table, source, adc, out = (str(tmp_path / name) for name in ("t", "in", "adc", "out"))
+    assert main(["build", "--alphabet", "#ab", "--out", table]) == 0
+    assert main(["verify", table]) == 0
+    assert capsys.readouterr().out.count("context ") == 4
+    Path(source).write_bytes(b"#a##bab#")
+    assert main(["encode", source, "--table", table, "--out", adc]) == 0
+    assert main(["decode", adc, "--out", out]) == 0
+    assert Path(out).read_bytes() == b"#a##bab#"
+
+
 def test_verify_parse_error(tmp_path, capsys):
     table_file = tmp_path / "table.txt"
     table_file.write_text("order 1\nalphabet ab\n~ a\n")
@@ -523,8 +534,11 @@ def test_report_usage_lines(monkeypatch, capsys):
 
 
 ABC_TABLE = build_order1(alphabet_from_bytes(b"abc"))
+# every row is the canonical code of its lengths, so the table is stored as lengths
+LENGTHS_TABLE = CodeTable(ABC_TABLE.alphabet, 1, {ctx: ("0", "10", "11") for ctx in ABC_TABLE.rows})
 ROBUSTNESS_CONTAINERS = (
     write_container(ABC_TABLE, len(W1), encode(ABC_TABLE, W1)),
+    write_container(LENGTHS_TABLE, len(W1), encode(LENGTHS_TABLE, W1)),
     write_container(example_order2_table(), 12, encode(example_order2_table(), b"abbabaabbbab")),
 )
 ROBUSTNESS_TABLES = tuple(

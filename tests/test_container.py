@@ -28,11 +28,14 @@ from adacode import (
 )
 from adacode.builder import build_order1
 from adacode.container import _decode_container
+from adacode.prefix import huffman_build
 
 from helpers import (
     example_order2_table,
     explicit_table_bytes,
+    length_table_bytes,
     nonprefix_order2_table,
+    random_prefix_row,
     random_string,
     random_table,
     scan_decode_outcome,
@@ -372,6 +375,28 @@ def test_table_text_roundtrip_escaped_symbols():
     assert table_from_text(text.replace("\\x5c", "\\x5C")) == t
 
 
+def test_table_text_roundtrip_hash_symbol():
+    # a row whose context starts with # must not read as a comment line
+    text = table_to_text(build_order1(alphabet_from_bytes(b"#ab")))
+    assert "\\x23 \\x23 0\n" in text
+    rng = random.Random(53)
+    tables = [build_order1(alphabet_from_bytes(b"#ab"))]
+    for _ in range(10):
+        size = rng.randint(1, 4)
+        symbols = sorted({0x23, *rng.sample(range(256), size)})
+        rows = {ctx: random_prefix_row(rng, len(symbols)) for ctx in iter_contexts(len(symbols), 2)}
+        tables.append(CodeTable(Alphabet(tuple(symbols)), 2, rows))
+    for table in tables:
+        assert table_from_text(table_to_text(table)) == table
+
+
+def test_table_text_reads_a_literal_hash_after_the_line_start():
+    text = "order 1\nalphabet #a\n~ # 0\n~ a 1\n\\x23 # 0\n\\x23 a 1\na # 1\na a 0\n"
+    table = table_from_text(text)
+    assert table.alphabet.symbols == (0x23, 0x61)
+    assert table.rows == {(): ("0", "1"), (0,): ("0", "1"), (1,): ("1", "0")}
+
+
 def test_table_text_ignores_comments_and_blank_lines():
     text = (
         "# a comment\n"
@@ -583,18 +608,16 @@ def _fuzz_container() -> bytes:
 FUZZ_CONTAINER = _fuzz_container()
 
 
-def _mutated_containers() -> st.SearchStrategy[bytes]:
-    size = len(FUZZ_CONTAINER)
-    cuts = st.integers(0, size - 1).map(lambda n: FUZZ_CONTAINER[:n])
+def _mutated_containers(blob: bytes) -> st.SearchStrategy[bytes]:
+    size = len(blob)
+    cuts = st.integers(0, size - 1).map(lambda n: blob[:n])
     substitutions = st.tuples(st.integers(0, size - 1), st.integers(0, 255)).map(
-        lambda change: FUZZ_CONTAINER[: change[0]]
-        + bytes([change[1]])
-        + FUZZ_CONTAINER[change[0] + 1 :]
+        lambda change: blob[: change[0]] + bytes([change[1]]) + blob[change[0] + 1 :]
     )
     return st.one_of(cuts, substitutions)
 
 
-@given(_mutated_containers())
+@given(_mutated_containers(FUZZ_CONTAINER))
 @example(FUZZ_CONTAINER[:9] + b"a" + FUZZ_CONTAINER[10:])  # alphabet "aac"
 @example(FUZZ_CONTAINER[:8] + b"b" + FUZZ_CONTAINER[9:])  # alphabet "bbc"
 @settings(max_examples=300, deadline=None)
@@ -604,6 +627,145 @@ def test_read_container_fuzz_raises_only_container_errors(blob):
     except ContainerError:
         return
     assert isinstance(content, ContainerContent)
+
+
+def _fitted_table(rng: random.Random, order: int, size: int) -> CodeTable:
+    """A total table whose every row is the canonical Huffman code of random
+    frequencies, skewed in some rows so that code lengths spread widely."""
+    rows = {}
+    for ctx in iter_contexts(size, order):
+        power = rng.choice((1, 1, 2, 4))
+        words = huffman_build([(s, rng.randint(0, 30) ** power) for s in range(size)]).codewords
+        rows[ctx] = tuple(words[s] for s in range(size))
+    symbols = tuple(sorted(rng.sample(range(256), size)))
+    return CodeTable(alphabet=Alphabet(symbols), order=order, rows=rows)
+
+
+@given(st.integers(1, 2), st.integers(1, 40), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_fitted_tables_roundtrip_as_code_lengths(order, size, rng):
+    table = _fitted_table(rng, order, size)
+    data = random_string(rng, table.alphabet, rng.randint(0, 60))
+    blob = write_container(table, len(data), encode(table, data))
+    header = 17 + size
+    if max(len(word) for row in table.rows.values() for word in row) <= 15:
+        assert blob[header - 1] == 0x02
+        section = length_table_bytes(table)
+        assert blob[header : header + len(section)] == section
+    else:
+        assert blob[header - 1] == 0x01
+    content = read_container(blob)
+    assert content.table == table
+    assert content.builder_mode is False
+    assert decode_payload(content.table, content.payload_bits, len(data)) == data
+    assert _decode_container(blob) == data
+
+
+def test_writer_keeps_codewords_for_tables_that_are_not_canonical():
+    tables = [unary_table(), example_order2_table()]
+    tables += [build_order1(Alphabet(tuple(range(97, 97 + n)))) for n in range(3, 17)]
+    for table in tables:
+        blob = write_container(table, 0, "", builder_mode=False)
+        header = 17 + table.alphabet.size
+        assert blob[header - 1] == 0x01
+        assert blob[header:] == explicit_table_bytes(table)
+    # both rows of the two-symbol builder table, "0" "10" and "10" "0", are canonical
+    pair = build_order1(alphabet_from_bytes(b"ab"))
+    blob = write_container(pair, 0, "", builder_mode=False)
+    assert blob[18] == 0x02
+    assert blob[19:] == length_table_bytes(pair)
+    assert read_container(blob).table == pair
+
+
+def test_code_length_reader_proves_the_prefix_property(monkeypatch):
+    rng = random.Random(43)
+    tables = [_fitted_table(rng, rng.randint(1, 2), rng.randint(1, 6)) for _ in range(20)]
+    # incomplete rows, with Kraft sums 3/4 and 7/8
+    incomplete = {ctx: ("00", "01", "10") for ctx in iter_contexts(3, 2)}
+    incomplete[(1, 2)] = ("0", "10", "110")
+    tables.append(CodeTable(alphabet_from_bytes(b"abc"), 2, incomplete))
+    for table in tables:
+        blob = write_container(table, 0, "", builder_mode=False)
+        assert blob[16 + table.alphabet.size] == 0x02
+        read = read_container(blob).table
+        fresh = CodeTable(read.alphabet, read.order, dict(read.rows))
+        assert read._prefix == prefix_predicate(fresh)
+        assert read._prefix is True
+
+    def unused(words):
+        raise AssertionError("a row of a code-length table was sorted")
+
+    monkeypatch.setattr("adacode.codec.is_prefix_code", unused)
+    table = tables[-1]
+    data = b"abcbbacab"
+    assert _decode_container(write_container(table, len(data), encode(table, data))) == data
+
+
+def _code_length_container(size: int, order: int, nibbles: list[int]) -> bytes:
+    """A code-length container over the first size byte values with no
+    payload, whose table section packs nibbles two to a byte."""
+    header = b"ADC1" + bytes([1, order]) + size.to_bytes(2, "big") + bytes(range(size))
+    section = bytes(16 * high + low for high, low in zip(nibbles[0::2], nibbles[1::2]))
+    return header + (0).to_bytes(8, "big") + bytes([2]) + section
+
+
+def test_hostile_code_length_tables_raise_container_errors():
+    # order 1 over three symbols: 4 rows of 3 lengths; lengths 1, 2, 2 are "0", "10", "11"
+    lengths = [1, 2, 2] * 4
+    table = read_container(_code_length_container(3, 1, lengths)).table
+    assert set(table.rows.values()) == {("0", "10", "11")}
+    # order 2 has 13 rows: 39 lengths and a pad nibble, which must be 0
+    assert read_container(_code_length_container(3, 2, [1, 2, 2] * 13 + [0])).table.order == 2
+    for order, nibbles, message in (
+        (1, [1, 2, 0] + lengths[3:], "^code length below 1$"),
+        (1, [1, 1, 1] + lengths[3:], "^code lengths oversubscribe the 1-bit codes$"),
+        (2, [1, 2, 2] * 13 + [5], "^nonzero pad nibble after the code lengths$"),
+    ):
+        with pytest.raises(ContainerError, match=message):
+            read_container(_code_length_container(3, order, nibbles))
+    with pytest.raises(
+        ContainerError, match="^truncated container: a code-length table needs 6 bytes, 5 remain$"
+    ):
+        read_container(_code_length_container(3, 1, lengths)[:-1])
+
+
+def test_read_container_sizes_code_length_table_before_parsing(monkeypatch):
+    import adacode.container as container
+
+    built = []
+    monkeypatch.setattr(container, "canonical_codewords", lambda *args: built.append(1))
+    # h = 256, order 255: more rows than any container holds
+    blob = _code_length_container(256, 255, [1] * 600_000)
+    with pytest.raises(ContainerError, match="^truncated container: a code-length table needs"):
+        read_container(blob)
+    assert built == []
+
+
+def _fuzz_lengths_container() -> bytes:
+    """A small code-length order-2 container over {a, b, c} with a payload;
+    one row is incomplete, so some bit patterns decode to nothing."""
+    rows = {ctx: ("0", "10", "11") for ctx in iter_contexts(3, 2)}
+    rows[(0,)] = ("10", "11", "0")
+    rows[(2, 1)] = ("10", "0", "11")
+    rows[(1, 2)] = ("00", "01", "10")
+    table = CodeTable(alphabet=alphabet_from_bytes(b"abc"), order=2, rows=rows)
+    data = b"abcaacbbacab"
+    return write_container(table, len(data), encode(table, data))
+
+
+LENGTHS_FUZZ_CONTAINER = _fuzz_lengths_container()
+
+
+@given(_mutated_containers(LENGTHS_FUZZ_CONTAINER))
+@settings(max_examples=300, deadline=None)
+def test_read_code_length_container_fuzz_raises_only_container_errors(blob):
+    assert LENGTHS_FUZZ_CONTAINER[19] == 0x02
+    try:
+        content = read_container(blob)
+        data = decode_payload(content.table, content.payload_bits, content.symbol_count)
+    except (ContainerError, DecodeError):  # DecodeError: bits that no row decodes
+        return
+    assert isinstance(data, bytes)
 
 
 TABLE_TOKENS = (

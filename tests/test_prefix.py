@@ -14,6 +14,7 @@ from adacode import (
     kraft_sum,
     prefix_violation,
 )
+from adacode.prefix import canonical_codewords
 
 from helpers import brute_force_huffman_total
 
@@ -81,6 +82,26 @@ def test_huffman_canonical_order():
     words = [w for _, w in ordered]
     assert words == sorted(words)
     assert is_prefix_code(words)
+
+
+def test_canonical_codewords_follow_rfc1951():
+    # the example of RFC 1951, section 3.2.2: symbols A..H
+    assert canonical_codewords((3, 3, 3, 3, 3, 2, 4, 4)) == (
+        "010", "011", "100", "101", "110", "00", "1110", "1111",
+    )
+    words: dict = {}
+    first = canonical_codewords(bytes([2, 1, 2]), words)
+    assert first == ("10", "0", "11")
+    assert canonical_codewords((1, 2, 2), words)[1] is first[0]  # shared strings
+    assert canonical_codewords((2, 2, 2)) == ("00", "01", "10")  # Kraft sum 3/4
+    for lengths, message in (
+        ((), "at least one length"),
+        ((1, 0), "below 1"),
+        ((1, 1, 1), "oversubscribe the 1-bit"),
+        ((2, 2, 2, 2, 3), "oversubscribe the 3-bit"),
+    ):
+        with pytest.raises(AdaptiveCodeError, match=message):
+            canonical_codewords(lengths)
 
 
 def test_huffman_input_validation():
