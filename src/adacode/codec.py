@@ -1,14 +1,16 @@
 """Context-conditioned encoding and greedy prefix decoding.
 
-Encoding walks the input once, emitting the codeword of each symbol under
-the window of up to `order` preceding symbols. Decoding is greedy: because
-every context row it visits is a prefix code, at most one codeword can match
-the next bits. As in zlib's inflate, each row is built once into a table of
-256 entries indexed by the next 8 bits, read from a buffer of every bit
-offset's window byte, and longer codewords go on through sub-tables. There
-is one encode loop and one decode loop; the table codec and the GA codes of
-adacode.ga supply only their context rule, a cache of their rows and one
-callback for a context not in it, which also words their errors.
+The codeword of each symbol depends only on the symbol and the window of up
+to `order` symbols before it, so encoding is a lookup keyed by (window,
+symbol) at every position, made at C level over the shifted slices of the
+input. Decoding is greedy: because every context row it visits is a prefix
+code, at most one codeword can match the next bits. As in zlib's inflate,
+each row is built once into a table of 256 entries indexed by the next 8
+bits, read from a buffer of every bit offset's window byte, and longer
+codewords go on through sub-tables. There is one decode loop; the table
+codec and the GA codes of adacode.ga supply only their context rule, a cache
+of their rows and one callback for a context not in it, which also words
+their errors. Only decoding and adacode.ga.ga_encode run a loop per symbol.
 """
 
 from __future__ import annotations
@@ -72,40 +74,60 @@ def prefix_predicate(table: CodeTable) -> bool:
         return ok
 
 
+class _Rows(dict):
+    """An encoder's rows, keyed by a context window's byte values: each is a
+    dict from byte value to codeword, built on its window's first lookup and
+    kept. A window without a row gets an empty dict that is not kept, so a
+    failed feed stores nothing for the windows of bytes it never encoded."""
+
+    def __init__(self, table: CodeTable):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, window: tuple[int, ...]) -> dict[int, str]:
+        alphabet = self.table.alphabet
+        words = self.table.rows.get(tuple(map(alphabet._index.get, window)))
+        if words is None:
+            return {}
+        row = self[window] = dict(zip(alphabet.symbols, words))
+        return row
+
+
 class IncrementalEncoder:
     """Streaming encoder. Feeding data in chunks yields exactly the bits of
     one-shot encoding, since only the trailing window carries between calls.
-    The cells of each visited context are built once and kept."""
+    Each codeword is a lookup keyed by its context window and its symbol, as
+    byte values, in rows that the encoder builds on a window's first use."""
 
     def __init__(self, table: CodeTable):
         self._table = table
-        self._codes: dict[bytes, dict[int, list]] = {}
+        self._rows = _Rows(table)
         self._tail = b""
         self._position = 0
 
     def feed(self, data: bytes) -> str:
-        table, index_of = self._table, self._table.alphabet.index_of
+        order, rows = self._table.order, self._rows
         buf = self._tail + data
-        start = len(self._tail)
-
-        def missing(window: bytes, position: int) -> tuple[bytes, dict[int, list]]:
-            words = table.rows.get(tuple(map(index_of, window)), ())
-            cells = {value: [word, None] for value, word in zip(table.alphabet.symbols, words)}
-            self._codes[window] = cells
-            return window, cells
-
-        def fail(index: int, window: bytes) -> EncodeError:
-            position = self._position + index - start + 1
+        start, n = len(self._tail), len(buf)
+        view = memoryview(buf)
+        # the codeword of buf[i], i >= start, is words[i - start]; None if it has none
+        words = [rows[tuple(view[:i])].get(buf[i]) for i in range(start, min(order, n))]
+        # position i >= order has the window view[i - order : i]
+        windows = zip(*(view[k : k + max(0, n - order)] for k in range(order)))
+        words += map(dict.get, map(rows.__getitem__, windows), view[order:])
+        try:
+            bits = "".join(words)
+        except TypeError:  # join met a None: a symbol without a codeword
+            i = start + words.index(None)
+            position = self._position + i - start + 1
+            index_of = self._table.alphabet.index_of
+            window = tuple(map(index_of, view[max(0, i - order) : i]))
             try:
-                table_get(table, index_of(buf[index]), tuple(map(index_of, window)))
+                table_get(self._table, index_of(buf[i]), window)
             except TableError as exc:
-                return EncodeError(f"{exc} (position {position})", position)
-
-        bits = _greedy_encode(
-            buf, start, _window(table.order), self._codes, missing, fail, fixed_window=True
-        )
-        self._position += len(buf) - start
-        self._tail = buf[-table.order :]
+                raise EncodeError(f"{exc} (position {position})", position) from None
+        self._position += n - start
+        self._tail = buf[-order:]
         return bits
 
 
@@ -118,50 +140,6 @@ def encode(table: CodeTable, data: bytes) -> str:
 def _window(order: int) -> Callable[[int, memoryview], bytes]:
     """The context rule of order-n tables: the up to n bytes before a position."""
     return lambda position, prior: prior[-order:].tobytes()
-
-
-def _greedy_encode(
-    data: bytes,
-    start: int,
-    context: Callable[[int, memoryview], object],
-    codes: dict,
-    missing: Callable[[object, int], tuple[bytes, dict[int, list]]],
-    fail: Callable[[int, bytes], EncodeError],
-    fixed_window: bool = False,
-) -> str:
-    """The encode loop behind encode() and ga_encode(), the mirror of
-    _greedy_decode: it encodes data[start:], naming the context of data[i]
-    by context(i + 1, view[:i]), view being a read-only view of data. codes
-    maps a context's bytes to its cells, a dict from byte value to
-    [codeword, next cells]. A result that is bytes, or a one-dimensional 'B'
-    memoryview, whose bytes are a key of codes is used as it is; any other
-    result goes to missing(result, position), which raises or returns the
-    bytes of the context it names and that context's cells. The loop never
-    writes codes; missing may. A byte without a cell raises fail(index,
-    ctx). With fixed_window, a cell caches the cells of the next context, as
-    in _greedy_decode.
-    """
-    view = memoryview(data).toreadonly()
-    out: list[str] = []
-    code = cell = None
-    for i in range(start, len(data)):
-        if code is None:
-            ctx = context(i + 1, view[:i])
-            if type(ctx) is memoryview and ctx.format == "B" and ctx.ndim == 1:
-                ctx = ctx.tobytes()
-            code = codes.get(ctx) if type(ctx) is bytes else None
-            if code is None:
-                ctx, code = missing(ctx, i + 1)
-            if fixed_window and cell is not None:
-                cell[1] = code
-        cell = code.get(data[i])
-        if cell is None:
-            if fixed_window:  # a cached successor leaves ctx stale
-                ctx = context(i + 1, view[:i])
-            raise fail(i, ctx)
-        out.append(cell[0])
-        code = cell[1]
-    return "".join(out)
 
 
 _MISS = (None, 0, 0)  # the entry of bits that begin no codeword
@@ -216,11 +194,12 @@ def _greedy_decode(
 ) -> DecodeTrace:
     """The greedy decode loop behind decode() and ga_decode(). The context of
     the symbol at 1-based position p is named by context(p, prior) from a
-    read-only view of the p-1 bytes decoded before it, and looked up as in
-    _greedy_encode. codes maps a context's bytes to its decode table (see
-    _code); a result that is not a key goes to missing(result, p, cursor),
-    which returns the bytes of the context it names and its decode table, or
-    raises a DecodeError that carries that context. windows[i] is the 8 bits
+    read-only view of the p-1 bytes decoded before it; a result that is bytes,
+    or a one-dimensional 'B' memoryview, is looked up by its bytes. codes
+    maps a context's bytes to its decode table (see _code); a result that is
+    not a key goes to missing(result, p, cursor), which returns the bytes of
+    the context it names and its decode table, or raises a DecodeError that
+    carries that context. windows[i] is the 8 bits
     from bit i, zeros past the end. With fixed_window, a cell caches the code
     of the next context. Every DecodeError raised once decoding has started
     names the position and the context of the symbol being decoded."""

@@ -101,7 +101,7 @@ def pack_bits(bits: str) -> PackedBits:
     if not is_bits(bits):
         raise ContainerError("bit sequence must contain only 0 and 1")
     size = (len(bits) + 7) // 8
-    data = int(bits.ljust(8 * size, "0") or "0", 2).to_bytes(size, "big")
+    data = (int(bits or "0", 2) << (-len(bits) % 8)).to_bytes(size, "big")
     return PackedBits(data, len(bits))
 
 

@@ -10,7 +10,7 @@ Every value here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from itertools import chain, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 Codeword = str
 Context = tuple[int, ...]
@@ -151,20 +151,27 @@ def iter_contexts(alphabet_size: int, order: int) -> Iterator[Context]:
 
 
 def is_bits(s: str) -> bool:
-    """True if s holds only the characters 0 and 1."""
-    return s.count("0") + s.count("1") == len(s)
+    """True if s holds only the characters 0 and 1. A long s is checked in
+    slices of 64 KiB, so that it is never copied whole."""
+    if len(s) <= 1 << 16:
+        return s.isascii() and not s.encode().translate(None, b"01")
+    return all(map(is_bits, (s[i : i + (1 << 16)] for i in range(0, len(s), 1 << 16))))
 
 
-def _check_codewords(words: Iterable[Codeword]) -> None:
-    """Raise TableError unless every word is a nonempty string of 0/1 bits.
-    Tables repeat codewords, so each distinct one is checked once."""
-    checked: set[Codeword] = set()
-    for word in words:
-        # a non-str word, possibly unhashable, never reaches the set
-        if not (isinstance(word, str) and word in checked):
-            if not isinstance(word, str) or not word or not is_bits(word):
-                raise TableError(f"codeword must be a nonempty string of 0/1 bits, got {word!r}")
-            checked.add(word)
+def _check_codewords(rows: Collection[Iterable[Codeword]]) -> None:
+    """Raise TableError unless every word of rows is a nonempty string of
+    0/1 bits. Tables repeat codewords, so the distinct words are checked
+    together; only if one is bad or unhashable does a scan in order name the
+    first bad word."""
+    try:
+        words = set(chain.from_iterable(rows))
+        if "" not in words and is_bits("".join(words)):
+            return
+    except TypeError:  # an unhashable word, or a word that is not a str
+        pass
+    for word in chain.from_iterable(rows):
+        if not isinstance(word, str) or not word or not is_bits(word):
+            raise TableError(f"codeword must be a nonempty string of 0/1 bits, got {word!r}")
 
 
 class CodeTable(Record):
@@ -201,7 +208,7 @@ class CodeTable(Record):
                     f"{len(row)} codewords, expected {h}"
                 )
             normalized[ctx] = row
-        _check_codewords(chain.from_iterable(normalized.values()))
+        _check_codewords(normalized.values())
         if EMPTY_CONTEXT not in normalized:
             raise TableError("table must define the empty-context row")
         super().__init__(alphabet, order, normalized)

@@ -4,8 +4,8 @@ Instead of a fixed-length suffix window, the context for each position comes
 from an arbitrary rule. The rule only ever sees the symbols strictly before
 the position it is asked about; that restriction is what makes greedy
 decoding possible, since the decoder can recompute every context from what
-it has already emitted. ga_encode and ga_decode run the encode and decode
-loops of table codes, which call the rule itself once per position, over
+it has already emitted. ga_decode runs the decode loop of table codes and
+ga_encode its mirror; both call the rule itself once per position, over
 rows that a GACode builds and checks once, keyed by the bytes of their
 context; a row that is not a prefix code raises only when decoding visits
 it. A result that is bytes, or a 'B' memoryview such as a slice of the view
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .codec import DecodeError, EncodeError, _code, _greedy_decode, _greedy_encode, _window
+from .codec import DecodeError, EncodeError, _code, _greedy_decode, _window
 from .core import (
     AdaptiveCodeError,
     Alphabet,
@@ -96,8 +96,8 @@ class GACode(Record):
     """A context rule plus a codeword lookup keyed by (symbol, context)."""
 
     # _cells and _codes are built once per code, never written after: per
-    # context within the rule's bound, keyed by its bytes, the encoder cells
-    # (symbol -> (codeword, None)) and, if the row is a prefix code, its _code
+    # context within the rule's bound, keyed by its bytes, the encoder row
+    # (symbol -> codeword) and, if the row is a prefix code, its _code
     __slots__ = ("function", "lookup", "_cells", "_codes")
     _fields = ("function", "lookup")
 
@@ -115,7 +115,7 @@ class GACode(Record):
             ctx = tuple(ctx)
             normalized[(symbol, ctx)] = word
             rows.setdefault(ctx, {})[symbol] = word
-        _check_codewords(normalized.values())
+        _check_codewords([normalized.values()])
         if not normalized:
             raise AdaptiveCodeError("lookup must define at least one codeword")
         for ctx, row in rows.items():
@@ -125,11 +125,10 @@ class GACode(Record):
         # a context over the bound is never looked up: the rule's check refuses it
         bound = function.max_context
         rows = {bytes(c): r for c, r in rows.items() if bound is None or len(c) <= bound}
-        cells = {ctx: {s: (word, None) for s, word in row.items()} for ctx, row in rows.items()}
         # r.values() keeps a repeated codeword, so such a row is not a prefix code
         codes = {c: _code(r.items()) for c, r in rows.items() if is_prefix_code(r.values())}
         super().__init__(function, normalized)
-        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_cells", rows)
         object.__setattr__(self, "_codes", codes)
 
 
@@ -145,20 +144,28 @@ def lookup_from_table(table: CodeTable) -> dict[tuple[int, Symbols], Codeword]:
 
 
 def ga_encode(code: GACode, data: bytes) -> str:
-    """Concatenated codewords of data under the code's context rule."""
-
-    def fail(index: int, ctx: bytes) -> EncodeError:
-        return EncodeError(
-            f"no codeword for symbol {format_context(_BYTE_VALUES, (data[index],))} "
-            f"in context '{format_context(_BYTE_VALUES, ctx)}' (position {index + 1})",
-            index + 1,
-        )
-
-    def missing(raw: object, position: int) -> tuple[bytes, dict]:
-        ctx = bytes(code.function._context(raw, position))
-        return ctx, code._cells.get(ctx, {})
-
-    return _greedy_encode(data, 0, code.function.rule, code._cells, missing, fail)
+    """Concatenated codewords of data under the code's context rule, which
+    runs once per position, as ga_decode runs it."""
+    rule, rows = code.function.rule, code._cells
+    view = memoryview(data).toreadonly()
+    out: list[str] = []
+    for i in range(len(data)):
+        ctx = rule(i + 1, view[:i])
+        if type(ctx) is memoryview and ctx.format == "B" and ctx.ndim == 1:
+            ctx = ctx.tobytes()
+        row = rows.get(ctx) if type(ctx) is bytes else None
+        if row is None:
+            ctx = bytes(code.function._context(ctx, i + 1))
+            row = rows.get(ctx, {})
+        word = row.get(data[i])
+        if word is None:
+            raise EncodeError(
+                f"no codeword for symbol {format_context(_BYTE_VALUES, (data[i],))} "
+                f"in context '{format_context(_BYTE_VALUES, ctx)}' (position {i + 1})",
+                i + 1,
+            )
+        out.append(word)
+    return "".join(out)
 
 
 def ga_decode(code: GACode, bits: str | bytes) -> bytes:

@@ -18,6 +18,7 @@ from adacode import (
     decode_payload,
     encode,
     format_context,
+    format_symbol,
     ga_decode,
     ga_encode,
     iter_contexts,
@@ -110,6 +111,19 @@ def test_encode_missing_row():
             encoder.feed(b"abb")
 
 
+def test_encoder_keeps_only_the_rows_it_visits():
+    # no row is built before its window is reached, and a failed feed keeps
+    # none for the windows of bytes outside the alphabet after the failure
+    t = random_table(random.Random(3), 2, 4)
+    a, b = t.alphabet.symbols[:2]
+    outside = bytes(v for v in range(256) if v not in t.alphabet)
+    enc = IncrementalEncoder(t)
+    assert enc.feed(bytes([a, a, b])) == encode(t, bytes([a, a, b]))
+    with pytest.raises(EncodeError, match=r"not in alphabet \(position 5\)$"):
+        enc.feed(bytes([a]) + outside)
+    assert set(enc._rows) == {(), (a,), (a, a), (a, b), (b, a)}
+
+
 def test_incremental_matches_batch():
     t = build_order1(alphabet_from_bytes(b"abc"))
     w = b"abbbcabccaabccabbcba"
@@ -121,32 +135,40 @@ def test_incremental_matches_batch():
     assert "".join(enc.feed(bytes([b])) for b in w) == whole
 
 
-def _bits_or_position(encoder) -> str | int:
+def _bits_or_error(encoder) -> str | tuple[str, int]:
     try:
         return encoder()
     except EncodeError as exc:
-        return exc.position
+        return str(exc), exc.position
 
 
-def _scan_encode(table: CodeTable, w: bytes) -> str | int:
-    """Codeword by codeword, or the 1-based position of the first symbol
-    outside the alphabet or under a missing row."""
+def _scan_encode(table: CodeTable, w: bytes) -> str | tuple[str, int]:
+    """Codeword by codeword, or the EncodeError message and 1-based position
+    of the first symbol outside the alphabet or under a missing row."""
+    symbols = table.alphabet.symbols
     out = []
     for i, value in enumerate(w):
-        window = w[max(0, i - table.order) : i]
-        row = table.rows.get(tuple(table.alphabet.symbols.index(v) for v in window))
-        if value not in table.alphabet or row is None:
-            return i + 1
-        out.append(row[table.alphabet.symbols.index(value)])
+        window = tuple(symbols.index(v) for v in w[max(0, i - table.order) : i])
+        row = table.rows.get(window)
+        if value not in symbols:
+            reason = f"symbol {format_symbol(value)} not in alphabet"
+        elif row is None:
+            context = format_context(table.alphabet, window)
+            reason = f"no codeword for (symbol index {symbols.index(value)}, context '{context}')"
+        else:
+            out.append(row[symbols.index(value)])
+            continue
+        return f"{reason} (position {i + 1})", i + 1
     return "".join(out)
 
 
 def test_encoders_agree_on_random_tables():
-    # encode, IncrementalEncoder fed in random chunks and ga_encode under the
-    # order-n rule give the same bits, or fail at the same position
+    # encode, IncrementalEncoder fed in random chunks (often shorter than the
+    # order) and ga_encode under the order-n rule give the same bits, or fail
+    # at the same position; the table encoders also with the same message
     rng = random.Random(61)
-    kinds = {"encoded": 0, "outside": 0, "missing row": 0}
-    for case in range(200):
+    kinds = dict.fromkeys(("encoded", "outside head", "outside body", "missing row"), 0)
+    for case in range(300):
         order = rng.randint(1, 3)
         table = random_table(rng, order, rng.randint(2, 4))
         if case % 4 == 0:
@@ -154,11 +176,18 @@ def test_encoders_agree_on_random_tables():
             rows = {ctx: row for ctx, row in table.rows.items() if ctx != dropped}
             table = CodeTable(table.alphabet, order, rows)
         w = random_string(rng, table.alphabet, rng.randint(0, 40))
+        outside = bytes([rng.choice([v for v in range(256) if v not in table.alphabet])])
         if case % 3 == 0:
             # a byte outside the alphabet after a long run of cached contexts
-            outside = rng.choice([v for v in range(256) if v not in table.alphabet])
-            w += table.alphabet.to_bytes((0, 1)) * 50 + bytes([outside])
-        cuts = sorted(rng.randint(0, len(w)) for _ in range(rng.randint(0, 4)))
+            w += table.alphabet.to_bytes((0, 1)) * 50 + outside
+        elif case % 3 == 1:
+            # a byte outside the alphabet among the first order symbols
+            at = rng.randint(0, min(order - 1, len(w)))
+            w = w[:at] + outside + w[at:]
+        if case % 2:
+            cuts = sorted(rng.randint(0, len(w)) for _ in range(rng.randint(0, 4)))
+        else:
+            cuts = sorted(rng.sample(range(len(w) + 1), min(len(w) + 1, 12)))
         chunks = [w[i:j] for i, j in zip([0, *cuts], [*cuts, len(w)])]
 
         def chunked() -> str:
@@ -167,13 +196,16 @@ def test_encoders_agree_on_random_tables():
 
         code = GACode(order_n_function(order), lookup_from_table(table))
         expected = _scan_encode(table, w)
-        assert _bits_or_position(lambda: encode(table, w)) == expected
-        assert _bits_or_position(chunked) == expected
-        assert _bits_or_position(lambda: ga_encode(code, w)) == expected
+        assert _bits_or_error(lambda: encode(table, w)) == expected
+        assert _bits_or_error(chunked) == expected
+        ga = _bits_or_error(lambda: ga_encode(code, w))
+        assert ga == expected if isinstance(expected, str) else ga[1] == expected[1]
         if isinstance(expected, str):
             kinds["encoded"] += 1
+        elif w[expected[1] - 1] in table.alphabet:
+            kinds["missing row"] += 1
         else:
-            kinds["outside" if w[expected - 1] not in table.alphabet else "missing row"] += 1
+            kinds["outside head" if expected[1] <= order else "outside body"] += 1
     assert min(kinds.values()) >= 20, kinds
 
 

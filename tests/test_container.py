@@ -51,11 +51,12 @@ def test_pack_bits_examples():
     assert packed.bit_count == 4
     assert pack_bits("") == PackedBits(b"", 0)
     assert pack_bits("1" * 9).data == b"\xff\x80"
+    assert pack_bits("1" * 70001) == PackedBits(b"\xff" * 8750 + b"\x80", 70001)
 
 
 def test_pack_bits_rejects_non_bits():
     # int(bits, 2) would parse all but the first of these
-    for bits in ("01a", "0_1", " 01", "01\n"):
+    for bits in ("01a", "0_1", " 01", "01\n", "\u0660\u0661", "+1", "1" * 70000 + "_"):
         with pytest.raises(ContainerError):
             pack_bits(bits)
 

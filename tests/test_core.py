@@ -15,6 +15,7 @@ from adacode import (
     table_get,
 )
 from adacode.builder import build_order1
+from adacode.core import is_bits
 
 from helpers import example_order2_table
 
@@ -118,6 +119,13 @@ def test_code_table_validates_rows():
     # a codeword that is not a str, here an unhashable list
     with pytest.raises(TableError, match=r"got \['1'\]$"):
         CodeTable(alphabet=a, order=1, rows={(): ("0", "1"), (0,): ("0", ["1"])})
+    # a bad str before an unhashable word is still the one named
+    with pytest.raises(TableError, match="got '1x'$"):
+        CodeTable(alphabet=a, order=1, rows={(): ("0", "1"), (0,): ("1x", ["1"])})
+    # a non-ASCII digit, a sign and a separator are not bits, nor is 1 itself
+    for word in ("\u0661", "+1", "0_1", 1, True):
+        with pytest.raises(TableError, match="nonempty string of 0/1"):
+            CodeTable(alphabet=a, order=1, rows={(): ("0", "1"), (0,): ("0", word)})
     with pytest.raises(TableError, match="exceeds table order"):
         CodeTable(alphabet=a, order=1, rows={(): ("0", "1"), (0, 1): ("0", "1")})
     with pytest.raises(TableError, match="out of range"):
@@ -140,3 +148,17 @@ def test_alphabet_roundtrips_indices(data):
     a = alphabet_from_bytes(data)
     indices = [a.index_of(b) for b in data]
     assert a.to_bytes(indices) == data
+
+
+def test_is_bits_edge_cases():
+    assert is_bits("") and is_bits("0") and is_bits("10" * 40000)
+    for s in ("0_1", " 01", "01 ", "+1", "-0", "\u0660\u0661", "0\u0661", "2"):
+        assert not is_bits(s), s
+    # long strings are checked in slices of 64 KiB: a bad character just
+    # before and just after a slice boundary, and at either end
+    n = 1 << 16
+    s = "1" * (3 * n)
+    assert is_bits(s)
+    for at in (0, n - 1, n, 2 * n - 1, 2 * n, 3 * n - 1):
+        for bad in ("2", "_", "\u0661"):
+            assert not is_bits(s[:at] + bad + s[at + 1 :]), (at, bad)
