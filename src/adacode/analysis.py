@@ -10,14 +10,19 @@ is reported but never asserted, because the two sides do not share a unit.
 
 An order-1 coder spends one codeword per adjacent pair, so every adaptive
 figure comes from one count of adjacent pairs and the codeword lengths, with
-the transition part summed over distinct (predecessor, symbol) pairs. A
-string the table cannot code raises the encoder's positioned EncodeError.
+the transition part summed over distinct (predecessor, symbol) pairs. That
+count is made once, at C level: each fixed chunk of pairs is laid out as
+16-bit units and counted by Counter, so no tuple is built per pair and no
+copy of the string is made. compare_report derives the symbol counts of the
+Huffman figures from it too. A string the table cannot code raises the
+encoder's positioned EncodeError.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import sys
 from collections import Counter
 from functools import cached_property
 from itertools import compress
@@ -25,7 +30,6 @@ from math import fsum, log2
 from operator import eq, ne
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .codec import encode
 from .core import AdaptiveCodeError, CodeTable, EMPTY_CONTEXT, Record, TableError
 from .prefix import huffman_total_length
 
@@ -100,6 +104,30 @@ def eh_positions(w: bytes) -> frozenset[int]:
     return frozenset(compress(range(2, len(w) + 1), map(ne, w, w[1:])))
 
 
+# Pairs are counted in chunks of at most this many 16-bit units, so the
+# buffer stays at 64 KiB whatever the length of the string.
+_PAIR_CHUNK = 1 << 15
+# byte offset of a unit's high byte, which holds the pair's first symbol
+_HIGH = int(sys.byteorder == "little")
+
+
+def _pair_counts(w: bytes) -> dict[tuple[int, int], int]:
+    """How often each adjacent pair (a, b) occurs in the nonempty w.
+
+    Each chunk is written as units a * 256 + b into a fresh buffer by two
+    strided copies from views of w, and Counter counts the units at C level.
+    """
+    view = memoryview(w)
+    counts: Counter = Counter()
+    for start in range(0, len(view) - 1, _PAIR_CHUNK):
+        chunk = view[start : start + _PAIR_CHUNK + 1]
+        units = bytearray(2 * len(chunk) - 2)
+        units[_HIGH::2] = chunk[:-1]
+        units[1 - _HIGH :: 2] = chunk[1:]
+        counts.update(memoryview(units).cast("H"))
+    return {divmod(unit, 256): f for unit, f in counts.items()}
+
+
 def _frequencies(w: bytes) -> list[tuple[int, int]]:
     return sorted(Counter(w).items())
 
@@ -121,7 +149,7 @@ def huffman_rate(w: bytes) -> float:
     return huffman_total_length(_frequencies(w)) / len(w)
 
 
-def _transition_bits(pairs: Counter) -> float:
+def _transition_bits(pairs: dict[tuple[int, int], int]) -> float:
     """l_huffman from a count of adjacent pairs."""
     into: Counter = Counter()
     for (a, b), f in pairs.items():
@@ -130,14 +158,14 @@ def _transition_bits(pairs: Counter) -> float:
     return fsum(f * (1.0 + log2(into[b] / f)) for (a, b), f in pairs.items() if a != b)
 
 
-def _order1_pass(w: bytes, table: CodeTable) -> tuple[int, int, float, int]:
-    """(encoded bits, run bits, transition bits, nrpairs) of w under an
-    order-1 table, from one count of adjacent pairs and the table's codeword
-    lengths."""
+def _order1_pass(w: bytes, table: CodeTable) -> tuple[int, int, float, int, dict]:
+    """(encoded bits, run bits, transition bits, nrpairs, pair counts) of w
+    under an order-1 table, from one count of adjacent pairs and the table's
+    codeword lengths."""
     _require_nonempty(w)
     if table.order != 1:
         raise TableError("this analysis requires an order-1 table")
-    pairs = Counter(zip(w, w[1:]))
+    pairs = _pair_counts(w)
     rows, index_of = table.rows, table.alphabet.index_of
     try:
         encoded = run = len(rows[EMPTY_CONTEXT][index_of(w[0])])
@@ -149,9 +177,11 @@ def _order1_pass(w: bytes, table: CodeTable) -> tuple[int, int, float, int]:
                 run += bits
                 nrpairs += f
     except (KeyError, TableError):
+        from .codec import encode
+
         encode(table, w)  # raises the encoder's positioned EncodeError
         raise
-    return encoded, run, _transition_bits(pairs), nrpairs
+    return encoded, run, _transition_bits(pairs), nrpairs, pairs
 
 
 def l_not_huffman(w: bytes, table: CodeTable) -> int:
@@ -166,12 +196,12 @@ def l_huffman(w: bytes) -> float:
     pairs with different symbols, seen f times, f * (1 + log2(n / f)), where
     n counts the transitions into that symbol from any predecessor."""
     _require_nonempty(w)
-    return _transition_bits(Counter(zip(w, w[1:])))
+    return _transition_bits(_pair_counts(w))
 
 
 def h_a(w: bytes, table: CodeTable) -> float:
     """Adaptive entropy estimate: run bits plus estimated transition bits."""
-    _, run_bits, transition_bits, _ = _order1_pass(w, table)
+    _, run_bits, transition_bits, *_ = _order1_pass(w, table)
     return run_bits + transition_bits
 
 
@@ -182,8 +212,11 @@ def r_a_literal(w: bytes, table: CodeTable) -> float:
 
 def compare_report(w: bytes, table: CodeTable) -> AnalysisReport:
     """Every analysis figure for one string under one order-1 table."""
-    encoded_bits, run_bits, transition_bits, nrpairs = _order1_pass(w, table)
-    freqs = _frequencies(w)
+    encoded_bits, run_bits, transition_bits, nrpairs, pairs = _order1_pass(w, table)
+    counts = Counter({w[0]: 1})  # every symbol after the first ends one pair
+    for (_, b), f in pairs.items():
+        counts[b] += f
+    freqs = sorted(counts.items())
     huffman_bits = huffman_total_length(freqs)
     n = len(w)
     return AnalysisReport(

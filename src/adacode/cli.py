@@ -3,8 +3,9 @@ per-context prefix property, and print analysis reports.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or parse errors,
 3 encode errors, 4 decode errors. Data and reports go to stdout,
-diagnostics to stderr. An input path of - reads standard input. Only the
-report commands import the analysis layer, so the others start faster.
+diagnostics to stderr. An input path of - reads standard input. Each
+command imports the codec, container and analysis layers inside its own
+function, only if it runs them, so that it starts faster.
 """
 
 from __future__ import annotations
@@ -14,16 +15,8 @@ import sys
 from typing import Sequence
 
 from .builder import build_order1
-from .codec import DecodeError, EncodeError, encode
-from .container import (
-    ContainerError,
-    _container_mode,
-    _decode_container,
-    _write_container,
-    table_from_text,
-    table_to_text,
-)
-from .core import AdaptiveCodeError, Alphabet, TableError, alphabet_from_bytes, format_context
+from .core import AdaptiveCodeError, Alphabet, ContainerError, DecodeError, EncodeError
+from .core import TableError, alphabet_from_bytes, format_context
 from .prefix import prefix_violation
 
 EXIT_OK = 0
@@ -77,6 +70,8 @@ def _resolve_alphabet(args: argparse.Namespace, fallback: bytes | None) -> Alpha
 
 
 def _read_table(path: str):
+    from .container import table_from_text
+
     try:
         text = _read_input(path).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -91,12 +86,17 @@ def _resolve_table(args: argparse.Namespace, fallback: bytes | None):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from .container import table_to_text
+
     table = build_order1(_resolve_alphabet(args, None))
     _write_text(args.out, table_to_text(table))
     return EXIT_OK
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    from .codec import encode
+    from .container import _container_mode, _write_container
+
     data = _read_input(args.input)
     table = _resolve_table(args, data)
     try:  # refuse a table no container can store before encoding with it
@@ -109,6 +109,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    from .container import _decode_container
+
     _write_bytes(args.out, _decode_container(_read_input(args.input)))
     return EXIT_OK
 

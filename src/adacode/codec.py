@@ -17,36 +17,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .core import AdaptiveCodeError, CodeTable, Record, TableError
+# the errors live in core, so that the CLI can catch them without this module
+from .core import CodeTable, DecodeError, EncodeError, Record, TableError
 from .core import format_context, is_bits, table_get
 from .prefix import is_prefix_code
-
-
-class EncodeError(AdaptiveCodeError):
-    """A symbol could not be encoded; carries its 1-based position."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
-
-class DecodeError(AdaptiveCodeError):
-    """A bit sequence could not be decoded; carries the failing bit offset,
-    and the 1-based position and the context (as byte values) of the symbol
-    being decoded. position and context are None when decoding was refused
-    before it started."""
-
-    def __init__(
-        self,
-        message: str,
-        bit_offset: int | None = None,
-        position: int | None = None,
-        context: bytes | None = None,
-    ):
-        super().__init__(message)
-        self.bit_offset = bit_offset
-        self.position = position
-        self.context = context
 
 
 class DecodeTrace(Record):

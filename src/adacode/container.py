@@ -62,6 +62,7 @@ from .core import (
     Alphabet,
     CodeTable,
     Codeword,
+    ContainerError,
     Context,
     Record,
     TableError,
@@ -81,10 +82,6 @@ MODE_LENGTHS = 0x02
 _TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 _FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
-class ContainerError(AdaptiveCodeError):
-    """Malformed or unreadable container bytes."""
 
 
 class PackedBits(Record):

@@ -4,7 +4,9 @@ Symbols are single byte values (0..255). A code table of order n maps a
 context, the tuple of up to n preceding symbol indices, to a row of binary
 codewords, one codeword per alphabet symbol. Codewords are nonempty strings
 over "01". Tables may be partial: looking up a missing row is an error.
-Every value here is immutable after construction and safe to share.
+Every value here is immutable after construction and safe to share. The
+package's errors are defined here too, so that a layer can catch them
+without loading the layer that raises them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,37 @@ class AdaptiveCodeError(Exception):
 
 class TableError(AdaptiveCodeError):
     """Structurally invalid table, or a failed codeword lookup."""
+
+
+class EncodeError(AdaptiveCodeError):
+    """A symbol could not be encoded; carries its 1-based position."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
+
+
+class DecodeError(AdaptiveCodeError):
+    """A bit sequence could not be decoded; carries the failing bit offset,
+    and the 1-based position and the context (as byte values) of the symbol
+    being decoded. position and context are None when decoding was refused
+    before it started."""
+
+    def __init__(
+        self,
+        message: str,
+        bit_offset: int | None = None,
+        position: int | None = None,
+        context: bytes | None = None,
+    ):
+        super().__init__(message)
+        self.bit_offset = bit_offset
+        self.position = position
+        self.context = context
+
+
+class ContainerError(AdaptiveCodeError):
+    """Malformed or unreadable container bytes."""
 
 
 def format_symbol(symbol: int) -> str:

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .codec import DecodeError, EncodeError, _code, _greedy_decode, _window
+from .codec import _code, _greedy_decode, _window
 from .core import (
     AdaptiveCodeError,
     Alphabet,
     CodeTable,
     Codeword,
+    DecodeError,
+    EncodeError,
     Record,
     _check_codewords,
     format_context,

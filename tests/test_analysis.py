@@ -2,12 +2,17 @@
 
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adacode.analysis
+import adacode.codec
 from adacode import (
     AdaptiveCodeError,
     CSV_COLUMNS,
@@ -31,6 +36,7 @@ from adacode import (
     table_get,
 )
 from adacode.builder import build_order1
+from adacode.prefix import huffman_total_length
 
 from helpers import literal_l_huffman, literal_l_not_huffman, random_string, random_table
 
@@ -254,7 +260,7 @@ def test_codable_input_never_runs_the_encoder(monkeypatch):
     def refuse(*args):
         raise AssertionError("the encoder ran")
 
-    monkeypatch.setattr(adacode.analysis, "encode", refuse)
+    monkeypatch.setattr(adacode.codec, "encode", refuse)
     t = build_order1(alphabet_from_bytes(b"abc"))
     r = compare_report(W1, t)
     assert (r.encoded_bits, r.l_not_huffman) == (33, 7)
@@ -277,3 +283,76 @@ def test_uncodable_input_raises_the_encoders_error(w, table, message, position):
             figure(w, table)
         assert str(info.value) == f"{message} (position {position})"
         assert info.value.position == position
+
+
+CHUNK = adacode.analysis._PAIR_CHUNK
+
+
+def _counted_figures(w: bytes, t) -> dict:
+    """Every field of compare_report, from a tuple per pair and a count of
+    the symbols, the encoder's bits and the run-cost oracle."""
+    pairs = Counter(zip(w, w[1:]))
+    into: Counter = Counter()
+    for (a, b), f in pairs.items():
+        if a != b:
+            into[b] += f
+    transitions = math.fsum(
+        f * (1.0 + math.log2(into[b] / f)) for (a, b), f in pairs.items() if a != b
+    )
+    freqs = sorted(Counter(w).items())
+    n, bits, run = len(w), len(encode(t, w)), literal_l_not_huffman(w, t)
+    huffman_bits = huffman_total_length(freqs)
+    return {
+        "length": n,
+        "nrpairs": sum(f for (a, b), f in pairs.items() if a == b),
+        "encoded_bits": bits,
+        "r_a_literal": bits / n,
+        "huffman_total_bits": huffman_bits,
+        "huffman_rate": huffman_bits / n,
+        "huffman_entropy": sum(f * math.log2(n / f) for _, f in freqs) / n,
+        "l_not_huffman": run,
+        "l_huffman": transitions,
+        "h_a": run + transitions,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chunk=st.sampled_from([1, 2, 5, 16, CHUNK]),
+    # the length as (chunks, extra symbols): 1, 2, c - 1, c, c + 1, c + 2, 3c
+    shape=st.sampled_from([(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (1, 2), (3, 0)]),
+    size=st.one_of(st.integers(2, 8), st.integers(9, 256), st.just(256)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_figures_are_the_same_at_every_chunk_boundary(chunk, shape, size, seed):
+    rng = random.Random(seed)
+    t = random_table(rng, 1, size)
+    # skewed weights, so repeated symbols and runs occur at every size
+    weights = [1 / (i + 1) for i in range(size)]
+    w = bytes(rng.choices(t.alphabet.symbols, weights, k=max(1, shape[0] * chunk + shape[1])))
+    with mock.patch.object(adacode.analysis, "_PAIR_CHUNK", chunk):
+        r, expected = compare_report(w, t), _counted_figures(w, t)
+        assert {name: getattr(r, name) for name in expected} == expected
+        assert l_huffman(w) == r.l_huffman
+        assert l_not_huffman(w, t) == r.l_not_huffman
+        assert h_a(w, t) == r.h_a
+        assert r_a_literal(w, t) == r.r_a_literal
+        if len(w) <= 64:  # the transition-cost oracle is quadratic
+            assert math.isclose(r.l_huffman, literal_l_huffman(w), rel_tol=1e-12, abs_tol=1e-12)
+        for other in (bytearray(w), memoryview(w)):
+            assert compare_report(other, t) == r
+
+
+def test_compare_report_memory_does_not_grow_with_the_input():
+    rng = random.Random(11)
+    symbols = bytes(range(0x61, 0x71))
+    w = rng.randbytes(1 << 20).translate(symbols * 16)  # 1 MiB over 16 symbols
+    t = build_order1(alphabet_from_bytes(symbols))
+    compare_report(w, t)
+    tracemalloc.start()
+    try:
+        compare_report(w, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

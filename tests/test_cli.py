@@ -20,7 +20,7 @@ from adacode import (
     table_to_text,
     write_container,
 )
-from adacode import cli, container
+from adacode import codec, container
 from adacode.builder import build_order1
 from adacode.cli import main
 
@@ -179,7 +179,7 @@ def test_encode_refuses_an_unstorable_table_before_encoding(tmp_path, monkeypatc
     def no_encode(table, data):
         raise AssertionError("encode ran with a table no container can store")
 
-    monkeypatch.setattr(cli, "encode", no_encode)
+    monkeypatch.setattr(codec, "encode", no_encode)
     long_word = "1" + "0" * 255
     tables = [
         ("order 1\nalphabet ab\n~ a 0\n~ b 1\na a 0\na b 1\n", "explicit containers require a total table"),

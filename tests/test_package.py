@@ -112,3 +112,33 @@ def test_the_ga_names_load_no_container_or_analysis():
     )
     assert "adacode.ga" in loaded
     assert loaded & {"adacode.analysis", "adacode.container", "dataclasses"} == set()
+
+
+def test_the_errors_live_in_core_and_are_re_exported():
+    from adacode import codec, container, core
+
+    assert codec.EncodeError is core.EncodeError is adacode.EncodeError
+    assert codec.DecodeError is core.DecodeError is adacode.DecodeError
+    assert container.ContainerError is core.ContainerError is adacode.ContainerError
+
+
+@pytest.mark.parametrize("command, inputs", [("stats", 1), ("compare", 2)])
+def test_the_report_commands_load_no_codec_or_container(tmp_path, command, inputs):
+    source = tmp_path / "in.txt"
+    source.write_bytes(b"abracadabra abracada")
+    argv = [command, *[str(source)] * inputs, "--csv", "--out", str(tmp_path / "out.csv")]
+    loaded = _newly_loaded(f"import adacode.cli; assert adacode.cli.main({argv!r}) == 0")
+    assert "adacode.analysis" in loaded
+    assert loaded & {"adacode.codec", "adacode.container"} == set()
+
+
+def test_decode_loads_no_analysis(tmp_path):
+    table = adacode.build_order1(adacode.alphabet_from_bytes(b"ab"))
+    source = tmp_path / "in.adc"
+    source.write_bytes(adacode.write_container(table, 4, adacode.encode(table, b"abba")))
+    out = tmp_path / "out.txt"
+    argv = ["decode", str(source), "--out", str(out)]
+    loaded = _newly_loaded(f"import adacode.cli; assert adacode.cli.main({argv!r}) == 0")
+    assert {"adacode.codec", "adacode.container"} <= loaded
+    assert "adacode.analysis" not in loaded
+    assert out.read_bytes() == b"abba"
