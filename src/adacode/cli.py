@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 failed verification, 2 usage or parse errors,
 3 encode errors, 4 decode errors. Data and reports go to stdout,
 diagnostics to stderr. An input path of - reads standard input. Each
 command imports the codec, container and analysis layers inside its own
-function, only if it runs them, so that it starts faster.
+function, only if it runs them, so that it starts faster. encode feeds the
+encoder _CHUNK symbols at a time and packs each chunk's bits into the
+container as it goes, so it never holds a codeword per symbol.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_ENCODE = 3
 EXIT_DECODE = 4
+_CHUNK = 1 << 14  # symbols per encoder feed: encode keeps one chunk's bits at a time
 
 
 def _read_input(path: str) -> bytes:
@@ -33,7 +36,7 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _write_bytes(path: str | None, data: bytes) -> None:
+def _write_bytes(path: str | None, data: bytes | bytearray) -> None:
     if path:
         with open(path, "wb") as fh:
             fh.write(data)
@@ -94,7 +97,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    from .codec import encode
+    from .codec import IncrementalEncoder
     from .container import _container_mode, _write_container
 
     data = _read_input(args.input)
@@ -103,7 +106,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
         mode = _container_mode(table)
     except ContainerError as exc:
         raise EncodeError(str(exc)) from exc
-    bits = encode(table, data)
+    feed = IncrementalEncoder(table).feed
+    bits = (feed(data[i : i + _CHUNK]) for i in range(0, len(data), _CHUNK))
     _write_bytes(args.out, _write_container(table, len(data), bits, mode))
     return EXIT_OK
 

@@ -7,7 +7,10 @@ input. Decoding is greedy: because every context row it visits is a prefix
 code, at most one codeword can match the next bits. As in zlib's inflate,
 each row is built once into a table of 256 entries indexed by the next 8
 bits, read from a buffer of every bit offset's window byte, and longer
-codewords go on through sub-tables. There is one decode loop; the table
+codewords go on through sub-tables. The buffer covers one chunk of the
+input bits at a time, and the output grows chunk by chunk, so decoding
+holds little more than its input and output; IncrementalEncoder lets a
+caller encode in chunks the same way. There is one decode loop; the table
 codec and the GA codes of adacode.ga supply only their context rule, a cache
 of their rows and one callback for a context not in it, which also words
 their errors. Only decoding and adacode.ga.ga_encode run a loop per symbol.
@@ -117,6 +120,7 @@ def _window(order: int) -> Callable[[int, memoryview], bytes]:
 
 
 _MISS = (None, 0, 0)  # the entry of bits that begin no codeword
+_CHUNK = 1 << 13  # payload bytes per window buffer of the decode loop
 
 
 def _code(row: Iterable[tuple[int, str]], depth: int = 0, width: int = 8) -> list:
@@ -141,12 +145,15 @@ def _code(row: Iterable[tuple[int, str]], depth: int = 0, width: int = 8) -> lis
     return table
 
 
-def _descend(table: list, windows: bytearray, cursor: int, total: int) -> list | bool:
+def _descend(table: list, windows: bytearray, cursor: int, total: int) -> list | bool | None:
     """The cell of the codeword at cursor that a row's table reaches through
     sub-tables, or on a miss whether the bits left begin a longer codeword,
-    as they do when a sub-table is reached with none left."""
+    as they do when a sub-table is reached with none left; None if the
+    codeword runs past the end of windows before total."""
     shift = 0
     while cursor < total:
+        if cursor >= len(windows):
+            return None  # the codeword runs past the buffer
         index = windows[cursor] >> shift
         if table[index] is _MISS:
             span = 1 << max(0, 8 - shift - total + cursor)
@@ -173,58 +180,94 @@ def _greedy_decode(
     maps a context's bytes to its decode table (see _code); a result that is
     not a key goes to missing(result, p, cursor), which returns the bytes of
     the context it names and its decode table, or raises a DecodeError that
-    carries that context. windows[i] is the 8 bits
-    from bit i, zeros past the end. With fixed_window, a cell caches the code
-    of the next context. Every DecodeError raised once decoding has started
-    names the position and the context of the symbol being decoded."""
+    carries that context. The bits are decoded _CHUNK bytes at a time:
+    windows[i] is the 8 bits from bit base + i, zeros past the end, for the
+    chunk and the lookahead bits after it, which hold any codeword of up to
+    255 bits that starts in the chunk and double when a longer one does not
+    fit. The output grows by at most one byte per bit of each chunk.
+    With fixed_window, a cell caches the code of the next context. Every
+    DecodeError raised once decoding has started names the position and the
+    context of the symbol being decoded, and its global bit offset."""
     if not isinstance(bits, (str, bytes)):
         raise DecodeError(f"bit sequence must be a str or bytes, not {type(bits).__name__}")
-    if isinstance(bits, str) and not is_bits(bits):
-        raise DecodeError("bit sequence must contain only 0 and 1")
-    total = len(bits) if isinstance(bits, str) else 8 * len(bits)
-    bits = int(bits or "0", 2) if isinstance(bits, str) else int.from_bytes(bits, "big")
-    windows = bytearray(total)  # one shift per bit offset s fills windows[s::8]
-    for s in range(min(8, total)):
-        k = (total - s + 7) // 8
-        windows[s::8] = memoryview((bits << (8 * k + s - total)).to_bytes(k + 1, "big"))[1:]
-    out = bytearray(total if max_symbols is None else max(0, min(max_symbols, total)))
-    view = memoryview(out).toreadonly()
-    limit = len(out)
-    cursor = count = 0
-    code = cell = None
-    while count < limit and cursor < total:
-        if code is None:
-            ctx = context(count + 1, view[:count])
-            # views of a bytearray cannot be hashed
-            if type(ctx) is memoryview and ctx.format == "B" and ctx.ndim == 1:
-                ctx = ctx.tobytes()
-            code = codes.get(ctx) if type(ctx) is bytes else None
-            if code is None:
-                try:
-                    ctx, code = missing(ctx, count + 1, cursor)
-                except DecodeError as exc:
-                    exc.position = count + 1
-                    raise
-            if fixed_window and cell is not None:
-                cell[1] = code
-        cell = code[windows[cursor]]
-        if not cell[2]:
-            cell = _descend(code, windows, cursor, total)
-            if type(cell) is bool:  # a miss; cell tells if the input is truncated
-                break
-        out[count] = cell[0]
-        count += 1
-        cursor += cell[2]
-        code = cell[1]
+    if isinstance(bits, str):
+        if not is_bits(bits):
+            raise DecodeError("bit sequence must contain only 0 and 1")
+        total = len(bits)
+        bits = (int(bits or "0", 2) << (-total % 8)).to_bytes((total + 7) // 8, "big")
     else:
-        if cursor <= total:
-            return DecodeTrace(view[:count].tobytes(), count, cursor)
-        count -= 1
-        cursor -= cell[2]
-        cell = True  # the last codeword runs past the end
+        total = 8 * len(bits)
+    limit = total if max_symbols is None else max(0, min(max_symbols, total))
+    out = bytearray()
+    view = memoryview(out).toreadonly()
+    base = cursor = count = 0  # cursor counts bits from base, a multiple of 8
+    code = cell = None
+    lookahead = 256
+    while True:
+        end = total - base
+        stop = min(end, 8 * _CHUNK)  # a codeword that starts before stop is decoded here
+        # windows[i], i < size: the 8 bits from bit base + i, which the bytes
+        # of piece hold, with zeros past the end of the input
+        size = min(end, stop + lookahead)
+        piece = bits[base // 8 : (base + size + 14) // 8]
+        value = int.from_bytes(piece, "big")
+        n = 8 * len(piece)
+        windows = bytearray(n)  # one shift per bit offset s fills windows[s::8]
+        for s in range(min(8, n)):
+            k = (n - s + 7) // 8
+            windows[s::8] = memoryview((value << (8 * k + s - n)).to_bytes(k + 1, "big"))[1:]
+        del windows[size:]
+        room = min(limit, count + stop)  # every codeword has a bit
+        if len(out) < room:
+            view.release()
+            try:
+                out += bytes(room - len(out))
+            except BufferError:  # the rule kept a view of out, which must not change
+                out = out + bytes(room - len(out))
+            view = memoryview(out).toreadonly()
+        while count < limit and cursor < stop:
+            if code is None:
+                ctx = context(count + 1, view[:count])
+                # views of a bytearray cannot be hashed
+                if type(ctx) is memoryview and ctx.format == "B" and ctx.ndim == 1:
+                    ctx = ctx.tobytes()
+                code = codes.get(ctx) if type(ctx) is bytes else None
+                if code is None:
+                    try:
+                        ctx, code = missing(ctx, count + 1, base + cursor)
+                    except DecodeError as exc:
+                        exc.position = count + 1
+                        raise
+                if fixed_window and cell is not None:
+                    cell[1] = code
+            cell = code[windows[cursor]]
+            if not cell[2]:
+                cell = _descend(code, windows, cursor, end)
+                # a miss gives True if the input is truncated, else False;
+                # a codeword past the buffer gives None
+                if type(cell) is not list:
+                    break
+            out[count] = cell[0]
+            count += 1
+            cursor += cell[2]
+            code = cell[1]
+        else:
+            if count < limit and cursor < end:  # the next codeword starts past stop
+                base += cursor & ~7
+                cursor &= 7
+                continue
+            if cursor <= end:
+                return DecodeTrace(view[:count].tobytes(), count, base + cursor)
+            count -= 1
+            cursor -= cell[2]
+            cell = True  # the last codeword runs past the end
+        if cell is not None:
+            break
+        lookahead *= 2  # the codeword at cursor is longer than the lookahead
     if fixed_window:  # a cached successor leaves ctx stale
         ctx = context(count + 1, view[:count])
     kind = "truncated input" if cell else "undecodable"
+    cursor += base
     raise DecodeError(f"{kind} at bit offset {cursor}", cursor, count + 1, ctx)
 
 
@@ -252,4 +295,10 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
         code = codes[window] = _code(zip(table.alphabet.symbols, table.rows[ctx]))
         return window, code
 
-    return _greedy_decode(bits, max_symbols, _window(table.order), codes, missing, fixed_window=True)
+    try:
+        return _greedy_decode(
+            bits, max_symbols, _window(table.order), codes, missing, fixed_window=True
+        )
+    finally:  # cells and rows refer to each other through the cached successors
+        for code in codes.values():
+            code.clear()

@@ -47,13 +47,15 @@ two header lines:
 
 `~` denotes the empty context. Symbols use the same escaping as everywhere
 else: printable ASCII except #, backslash and tilde is literal, anything
-else is \\xNN. Lines starting with # and blank lines are ignored.
+else is \\xNN. Lines starting with # and blank lines are ignored. The text
+is parsed in one pass over its lines, and each distinct codeword is stored
+once, as one string that every cell holding it shares.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from .builder import build_order1
 from .codec import decode
@@ -82,6 +84,7 @@ MODE_LENGTHS = 0x02
 _TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 _FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_BLOCK = 1 << 14  # characters of table text split into lines at a time
 
 
 class PackedBits(Record):
@@ -94,12 +97,23 @@ class PackedBits(Record):
 
 
 def pack_bits(bits: str) -> PackedBits:
-    # int() would also accept "_", a sign and surrounding whitespace
-    if not is_bits(bits):
-        raise ContainerError("bit sequence must contain only 0 and 1")
-    size = (len(bits) + 7) // 8
-    data = (int(bits or "0", 2) << (-len(bits) % 8)).to_bytes(size, "big")
-    return PackedBits(data, len(bits))
+    return PackedBits(b"".join(_pack((bits,))), len(bits))
+
+
+def _pack(chunks: Iterable[str]) -> Iterator[bytes]:
+    """Bit strings packed MSB-first as one stream: the whole bytes of each
+    chunk as soon as it comes, fewer than 8 bits carried to the next, and
+    the last carry zero-padded to a byte."""
+    carry = ""
+    for bits in chunks:
+        # int() would also accept "_", a sign and surrounding whitespace
+        if not is_bits(bits):
+            raise ContainerError("bit sequence must contain only 0 and 1")
+        bits = carry + bits
+        rest = len(bits) % 8
+        yield (int(bits or "0", 2) >> rest).to_bytes(len(bits) // 8, "big")
+        carry = bits[len(bits) - rest :]
+    yield (int(carry or "0", 2) << (-len(carry) % 8)).to_bytes((len(carry) + 7) // 8, "big")
 
 
 def unpack_bits(packed: PackedBits) -> str:
@@ -179,11 +193,16 @@ def write_container(
     (mode 0x02) when every row is canonical, else codeword by codeword.
     """
     _check_symbol_count(symbol_count)
-    return _write_container(table, symbol_count, payload_bits, _container_mode(table, builder_mode))
+    mode = _container_mode(table, builder_mode)
+    return bytes(_write_container(table, symbol_count, (payload_bits,), mode))
 
 
-def _write_container(table: CodeTable, symbol_count: int, payload_bits: str, mode: int) -> bytes:
-    """write_container for a mode that _container_mode gave for this table."""
+def _write_container(
+    table: CodeTable, symbol_count: int, payload: Iterable[str], mode: int
+) -> bytearray:
+    """write_container for a mode that _container_mode gave for this table,
+    of a payload given as consecutive pieces of its bits, which are packed
+    as they come."""
     h = table.alphabet.size
     out = bytearray()
     out += MAGIC
@@ -208,8 +227,9 @@ def _write_container(table: CodeTable, symbol_count: int, payload_bits: str, mod
                 if raw is None:
                     raw = encoded[word] = bytes((len(word),)) + pack_bits(word).data
                 out += raw
-    out += pack_bits(payload_bits).data
-    return bytes(out)
+    for piece in _pack(payload):
+        out += piece
+    return out
 
 
 def read_container(data: bytes) -> ContainerContent:
@@ -369,23 +389,37 @@ def _parse_symbol_values(text: str) -> list[int]:
     return values
 
 
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), split a block of about _BLOCK characters at a time.
+    Each block but the last ends with a newline, which ends a line and
+    belongs to no longer line break, so the blocks split as the whole does."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def table_from_text(text: str) -> CodeTable:
-    """Parse the table text format. Errors carry 1-based line numbers."""
-    entries: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            entries.append((line_no, line))
-    if len(entries) < 2:
+    """Parse the table text format in one pass over its lines, keeping one
+    string per distinct codeword. Errors carry 1-based line numbers."""
+    content = (
+        (line_no, line)
+        for line_no, line in enumerate(map(str.strip, _lines(text)), start=1)
+        if line and not line.startswith("#")
+    )
+    head = list(islice(content, 2))
+    if len(head) < 2:
         raise TableError("table text needs an order line and an alphabet line")
 
-    cells: dict[Context, dict[int, str]] = {}
+    # each row is a list of h cells while lines are read, then its tuple
+    cells: dict[Context, list | tuple[Codeword, ...]] = {}
     # Fields repeat from line to line. Only fields that passed their checks
     # are remembered, so an error still names the first line that has it.
     contexts: dict[str, Context] = {"~": ()}
     symbols: dict[str, int] = {}
-    codewords: set[str] = set()
-    line_no, line = entries[0]
+    codewords: dict[str, Codeword] = {}
+    line_no, line = head[0]
     try:
         fields = line.split()
         # int() alone would also take a sign, "_" or non-ASCII digits
@@ -399,7 +433,7 @@ def table_from_text(text: str) -> CodeTable:
         if order < 1:
             raise TableError("order must be at least 1")
 
-        line_no, line = entries[1]
+        line_no, line = head[1]
         fields = line.split()
         if len(fields) != 2 or fields[0] != "alphabet":
             raise TableError("expected 'alphabet <symbols>'")
@@ -407,8 +441,9 @@ def table_from_text(text: str) -> CodeTable:
         if len(set(values)) != len(values):
             raise TableError("alphabet symbols must be distinct")
         alphabet = Alphabet(tuple(values))
+        h = alphabet.size
 
-        for line_no, line in entries[2:]:
+        for line_no, line in content:
             fields = line.split()
             if len(fields) != 3:
                 raise TableError(f"expected '<context> <symbol> <bits>', got '{line}'")
@@ -425,26 +460,27 @@ def table_from_text(text: str) -> CodeTable:
                 if len(symbol_values) != 1:
                     raise TableError(f"expected a single symbol, got '{symbol_field}'")
                 symbol = symbols[symbol_field] = alphabet.index_of(symbol_values[0])
-            if bits not in codewords:
-                if not bits or not is_bits(bits):
+            word = codewords.get(bits)
+            if word is None:
+                if not is_bits(bits):
                     raise TableError(f"codeword must be nonempty bits, got '{bits}'")
-                codewords.add(bits)
-            row = cells.setdefault(ctx, {})
-            if symbol in row:
+                word = codewords[bits] = bits
+            row = cells.get(ctx)
+            if row is None:
+                row = cells[ctx] = [None] * h
+            if row[symbol] is not None:
                 raise TableError(
                     f"duplicate cell for context '{ctx_field}' and symbol '{symbol_field}'"
                 )
-            row[symbol] = bits
+            row[symbol] = word
     except TableError as exc:
         raise TableError(f"line {line_no}: {exc}") from None
 
-    h = alphabet.size
-    rows: dict[Context, tuple[Codeword, ...]] = {}
     for ctx, row in cells.items():
-        if len(row) != h:
+        if None in row:
             raise TableError(
                 f"incomplete row for context '{format_context(alphabet, ctx)}': "
-                f"{len(row)} of {h} codewords"
+                f"{h - row.count(None)} of {h} codewords"
             )
-        rows[ctx] = tuple(row[i] for i in range(h))
-    return CodeTable(alphabet=alphabet, order=order, rows=rows)
+        cells[ctx] = tuple(row)
+    return CodeTable(alphabet=alphabet, order=order, rows=cells)

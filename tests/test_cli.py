@@ -3,28 +3,33 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from adacode import (
     CSV_COLUMNS,
     CodeTable,
+    EncodeError,
+    IncrementalEncoder,
     alphabet_from_bytes,
     encode,
     read_container,
     table_to_text,
     write_container,
 )
-from adacode import codec, container
+from adacode import cli, codec, container
 from adacode.builder import build_order1
 from adacode.cli import main
 
-from helpers import example_order2_table, nonprefix_order2_table
+from helpers import example_order2_table, nonprefix_order2_table, random_string, random_table
 
 W1 = b"abbbcabccaabccabbcba"
 W2 = b"abbbccbccaabccaaacba"
@@ -583,3 +588,107 @@ def test_mutated_inputs_end_with_an_exit_code(container, table_text):
             ["stats", source, "--table", table],
         ):
             assert main(argv + ["--out", out]) in range(5)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 8])
+def test_encode_chunk_boundaries(tmp_path, monkeypatch, capsys, chunk):
+    # encode feeds the encoder chunk Ki symbols at a time: around each chunk
+    # boundary its container is write_container's of the whole input, and an
+    # encode error has the text and position of a single-chunk run
+    rng = random.Random(chunk)
+    size = chunk << 10
+    monkeypatch.setattr(cli, "_CHUNK", size)
+    source, table_file, out = tmp_path / "in", tmp_path / "t.txt", tmp_path / "out.adc"
+    for order in (1, 2, 3):
+        table = random_table(rng, order, 3)
+        table_file.write_text(table_to_text(table))
+        outside = bytes([next(v for v in range(256) if v not in table.alphabet)])
+        for n in (k * size + d for k in (1, 2) for d in (-1, 0, 1)):
+            data = random_string(rng, table.alphabet, n)
+            argv = ["encode", str(source), "--table", str(table_file), "--out", str(out)]
+            source.write_bytes(data)
+            assert main(argv) == 0
+            assert out.read_bytes() == write_container(table, n, encode(table, data))
+            if order == 1:
+                assert main(argv[:2] + ["--builder", "--out", str(out)]) == 0
+                built = build_order1(alphabet_from_bytes(data))
+                assert out.read_bytes() == write_container(built, n, encode(built, data))
+            bad = data[:-1] + outside  # the last symbol, at position n
+            source.write_bytes(bad)
+            with pytest.raises(EncodeError) as whole:
+                encode(table, bad)
+            assert whole.value.position == n
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"adacode: {whole.value}\n"
+            encoder = IncrementalEncoder(table)
+            with pytest.raises(EncodeError) as chunked:
+                for start in range(0, n, size):
+                    encoder.feed(bad[start : start + size])
+            assert (str(chunked.value), chunked.value.position) == (str(whole.value), n)
+        # a missing row first reached by the first symbol of the second
+        # chunk, whose window ends with the last symbol of the first
+        a, b = table.alphabet.symbols[:2]
+        data = bytes([a]) * (size - 1) + bytes([b]) + bytes([a]) * 8
+        ctx = (0,) * (order - 1) + (1,)
+        partial = CodeTable(table.alphabet, order, {c: r for c, r in table.rows.items() if c != ctx})
+        with pytest.raises(EncodeError) as whole:
+            encode(partial, data)
+        assert whole.value.position == size + 1
+        encoder = IncrementalEncoder(partial)
+        with pytest.raises(EncodeError) as chunked:
+            for start in range(0, len(data), size):
+                encoder.feed(data[start : start + size])
+        assert (str(chunked.value), chunked.value.position) == (str(whole.value), size + 1)
+
+
+def _traced_peak(argv: list[str]) -> tuple[int, int]:
+    """The exit code of main(argv) and its tracemalloc peak."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_encode_and_decode_memory_is_bounded(tmp_path):
+    # 1 MiB over 16 symbols: encode holds its input, its output and one
+    # chunk's bits, and decode its input, its output and one chunk's window
+    # buffer, never one byte or pointer per symbol or payload bit
+    rng = random.Random(41)
+    symbols = bytes(range(0x61, 0x71))
+    order2 = CodeTable(alphabet_from_bytes(symbols), 2, random_table(rng, 2, 16).rows)
+    source, table_file, blob = tmp_path / "in", tmp_path / "t.txt", tmp_path / "c.adc"
+    table_file.write_text(table_to_text(order2))
+    source.write_bytes(symbols)
+    for argv in (["encode", str(source), "--table", str(table_file)], ["decode", str(blob)]):
+        assert main(argv + ["--out", str(blob)]) == 0  # imports every module these use
+    text = table_file.stat().st_size
+    # the mutated containers, decoded under tracemalloc, take long: a smaller input
+    for n in (1 << 20, 1 << 16):
+        data = rng.randbytes(n).translate(symbols * 16)
+        source.write_bytes(data)
+        for flags, extra in ((["--table", str(table_file)], 8 * text), (["--builder"], 0)):
+            code, peak = _traced_peak(["encode", str(source), *flags, "--out", str(blob)])
+            assert code == 0
+            assert peak < 2 * n + extra + 512 * 1024
+        good = blob.read_bytes()
+        containers = [(good, 0)]
+        if n < 1 << 20:
+            # a symbol count of 2**64 - 1, a payload cut in half, a flipped
+            # byte, trailing garbage
+            count_at = 4 + 1 + 1 + 2 + len(symbols)
+            middle = len(good) // 2
+            containers += [
+                (good[:count_at] + b"\xff" * 8 + good[count_at + 8 :], 4),
+                (good[:middle], 4),
+                (good[:middle] + bytes([good[middle] ^ 0xFF]) + good[middle + 1 :], 4),
+                (good + b"\xff" * 1000, 4),
+            ]
+        for raw, exit_code in containers:
+            blob.write_bytes(raw)
+            code, peak = _traced_peak(["decode", str(blob), "--out", str(tmp_path / "out")])
+            assert code == exit_code
+            assert peak < 2 * (n + len(raw)) + 512 * 1024
+        assert (tmp_path / "out").read_bytes() == data

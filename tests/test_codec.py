@@ -1,11 +1,14 @@
 """Encoding, greedy decoding, and their invariants."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adacode import (
+    AdaptiveFunction,
     Alphabet,
     CodeTable,
     ContainerError,
@@ -30,6 +33,7 @@ from adacode import (
     table_get,
     write_container,
 )
+from adacode import codec
 from adacode.builder import build_order1
 from adacode.codec import _code
 
@@ -474,3 +478,110 @@ def test_encode_length_additivity():
         first = enc.feed(w[:split])
         second = enc.feed(w[split:])
         assert len(first) + len(second) == len(encode(t, w))
+
+
+def _chunked_outcome(run):
+    try:
+        return run()
+    except (DecodeError, ContainerError) as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 8])
+def test_decode_chunk_boundaries_change_no_result_or_error(monkeypatch, chunk):
+    # window buffers of chunk Ki bits decode as one buffer does: the same
+    # output, or the same error with the same message, bit offset, position
+    # and context, for payloads cut or with a bit flipped around each
+    # boundary and for trailing garbage, with and without a symbol count
+    rng = random.Random(chunk)
+    size = chunk << 10  # bits per buffer
+    long_words = ("0", "1" * 300)  # longer than a container allows
+    wide = CodeTable(alphabet_from_bytes(b"ab"), 1, dict.fromkeys(iter_contexts(2, 1), long_words))
+    tables = [random_table(rng, order, 3) for order in (1, 2, 3)] + [unary_table(), wide]
+    skip2 = GACode(AdaptiveFunction(lambda i, prior: prior[-2:-1], 1), lookup_from_table(tables[0]))
+    for table in tables:
+        # the unary table's rows take long to build: visit a few of them
+        alphabet = Alphabet((0, 200, 254, 255)) if table.alphabet.size == 256 else table.alphabet
+        # a 300-bit codeword that starts two bits before the first boundary
+        data = b"a" * (size - 2) + b"b" if table is wide else b""
+        while len(encode(table, data)) < 2 * size + 2:
+            data += random_string(rng, alphabet, size // 8)
+        n, bits = len(data), encode(table, data)
+        cuts = [k * size + d for k in (1, 2) for d in (-1, 0, 1)]
+        flip = {"0": "1", "1": "0"}
+        payloads = [bits, bits + "1" * 9, bits + "0" * 8]
+        payloads += [bits[:cut] for cut in cuts]
+        payloads += [bits[:cut] + flip[bits[cut]] + bits[cut + 1 :] for cut in cuts[:3]]
+        runs = []
+        for p in payloads:
+            packed = pack_bits(p).data
+            runs += [
+                lambda p=p: decode(table, p),
+                lambda p=p: decode(table, p, n),
+                lambda packed=packed: decode_payload(table, packed, n),
+            ]
+        if table is tables[0]:
+            ga_bits = ga_encode(skip2, data)
+            runs += [lambda p=p: ga_decode(skip2, p) for p in (ga_bits, ga_bits[:size + 1])]
+        for run in runs:
+            monkeypatch.setattr(codec, "_CHUNK", size // 8)
+            chunked = _chunked_outcome(run)
+            monkeypatch.setattr(codec, "_CHUNK", 1 << 40)
+            assert chunked == _chunked_outcome(run)
+
+
+def test_decode_leaves_no_cyclic_garbage():
+    # cells cache their successors' rows, and rows hold their cells: decode
+    # breaks those links before it returns or raises, so that the garbage
+    # collector is not needed to free them
+    rng = random.Random(29)
+    table = random_table(rng, 2, 16)
+    data = random_string(rng, table.alphabet, 1 << 15)
+    payload = pack_bits(encode(table, data)).data
+    middle = len(payload) // 2
+    broken = payload[:middle] + bytes([payload[middle] ^ 0xFF]) + b"\xff" * 64
+
+    def fail() -> None:
+        with pytest.raises(DecodeError):
+            decode(table, broken, len(data))
+
+    gc.collect()
+    gc.disable()
+    try:
+        decode(table, payload, len(data))  # fills the interpreter's free lists
+        fail()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert decode(table, payload, len(data)).output == data
+            returned = tracemalloc.get_traced_memory()[0]
+            fail()
+            raised = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert returned - before < 64 * 1024
+    assert raised - before < 64 * 1024
+
+
+def _traced_peak(run) -> int:
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_without_a_symbol_count_sizes_its_output_by_symbols():
+    # the output grows with the symbols decoded, not with the payload's bits
+    rng = random.Random(23)
+    symbols = bytes(range(0x61, 0x71))
+    table = build_order1(alphabet_from_bytes(symbols))
+    data = rng.randbytes(1 << 17).translate(symbols * 16)
+    bits = encode(table, data)
+    unsized = _traced_peak(lambda: decode(table, bits))
+    sized = _traced_peak(lambda: decode(table, bits, len(data)))
+    assert unsized < sized + 96 * 1024

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,7 +28,8 @@ from adacode import (
     write_container,
 )
 from adacode.builder import build_order1
-from adacode.container import _decode_container
+from adacode import container
+from adacode.container import _decode_container, _lines
 from adacode.prefix import huffman_build
 
 from helpers import (
@@ -488,6 +490,91 @@ def test_table_text_parse_errors():
         TableError, match="^line 6: duplicate cell for context 'a' and symbol 'a'$"
     ):
         table_from_text("order 1\nalphabet ab\na a 0\na b 1\n~ a 0\na a 1\n")
+
+
+def _table_text_outcome(text: str) -> CodeTable | str:
+    try:
+        return table_from_text(text)
+    except TableError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 8, 1 << 14])
+def test_table_text_with_one_bad_line_reports_that_line(monkeypatch, block):
+    # a text read a block of characters at a time, with one bad line: that
+    # line's error wins over the incomplete row it leaves; with fewer than
+    # two content lines the missing header wins over a bad order line
+    monkeypatch.setattr(container, "_BLOCK", block)
+    lines = ["# header", "order 2", "", "alphabet ab"]
+    body = table_to_text(example_order2_table()).splitlines()[2:]
+    lines += body[:5] + ["  # a comment between cells", "\t"] + body[5:]
+    assert _table_text_outcome("\n".join(lines)) == example_order2_table()
+    header = {
+        1: [("order x", "expected 'order <n>'"), ("order 0", "order must be at least 1")],
+        3: [("alphabet aa", "alphabet symbols must be distinct"), ("alpha ab", "expected 'alphabet <symbols>'")],
+    }
+    for index, bad_lines in header.items():
+        for bad, message in bad_lines:
+            text = "\n".join(lines[:index] + [bad] + lines[index + 1 :])
+            assert _table_text_outcome(text) == f"line {index + 1}: {message}"
+    data = [i for i, line in enumerate(lines) if i > 3 and line.strip() and line.strip()[0] != "#"]
+    for index in data:
+        ctx, symbol, _ = lines[index].split()
+        bad_lines = [
+            (f"{ctx} {symbol}", f"expected '<context> <symbol> <bits>', got '{ctx} {symbol}'"),
+            (f"{ctx} {symbol} 0x", "codeword must be nonempty bits, got '0x'"),
+            (f"{ctx} c 0", "symbol c not in alphabet"),
+            (f"{ctx} ab 0", "expected a single symbol, got 'ab'"),
+            (f"aaa {symbol} 0", "context longer than order 2"),
+        ]
+        if index > data[0]:
+            first = lines[data[0]]
+            ctx, symbol, _ = first.split()
+            bad_lines.append((first, f"duplicate cell for context '{ctx}' and symbol '{symbol}'"))
+        for bad, message in bad_lines:
+            text = "\n".join(lines[:index] + [bad] + lines[index + 1 :])
+            assert _table_text_outcome(text) == f"line {index + 1}: {message}"
+    needs = "table text needs an order line and an alphabet line"
+    for text in ("", "order x", "# c\norder 2\n\n", "order x\n# alphabet ab\n"):
+        assert _table_text_outcome(text) == needs
+    assert _table_text_outcome("order x\n~ a 0") == "line 1: expected 'order <n>'"
+    assert _table_text_outcome("order 2\n~ a 0") == "line 2: expected 'alphabet <symbols>'"
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 8, 1 << 14])
+def test_table_text_lines_split_as_splitlines(monkeypatch, block):
+    # blocks end after a newline, so no line break, \r\n included, is cut
+    monkeypatch.setattr(container, "_BLOCK", block)
+    rng = random.Random(block)
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\n"]
+    for _ in range(50):
+        text = "".join(
+            rng.choice(["", "a", "~ b 10", " # c "]) + rng.choice(breaks) for _ in range(rng.randint(0, 30))
+        )
+        text += rng.choice(["", "tail"])
+        assert list(_lines(text)) == text.splitlines()
+
+
+def test_table_from_text_memory_is_bounded():
+    # one pass over the lines, one string per distinct codeword: the peak
+    # stays within a fixed multiple of the text, also for texts that fail
+    # on their last line or on an incomplete row
+    text = table_to_text(random_table(random.Random(43), 2, 32))
+    lines = text.splitlines()
+    texts = [
+        text,
+        text + lines[-1] + "\n",
+        text + "~ ab 0\n",
+        "\n".join(lines[:-1]),
+    ]
+    for text in texts:
+        tracemalloc.start()
+        try:
+            _table_text_outcome(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text) + 256 * 1024
 
 
 def test_random_tables_roundtrip_both_formats():
