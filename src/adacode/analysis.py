@@ -28,13 +28,10 @@ from functools import cached_property
 from itertools import compress
 from math import fsum, log2
 from operator import eq, ne
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .core import AdaptiveCodeError, CodeTable, EMPTY_CONTEXT, Record, TableError
 from .prefix import huffman_total_length
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class PairStats(Record):
@@ -45,9 +42,6 @@ class PairStats(Record):
     """
 
     __slots__ = _fields = ("pairs", "nrpairs", "prate")
-
-    def __init__(self, pairs: frozenset[int], nrpairs: int, prate: Fraction):
-        super().__init__(pairs, nrpairs, prate)
 
 
 class AnalysisReport(Record):
@@ -60,16 +54,6 @@ class AnalysisReport(Record):
         "huffman_rate", "huffman_entropy", "l_not_huffman", "l_huffman", "h_a", "w",
     )
     _hidden = ("w",)
-
-    def __init__(
-        self, length: int, nrpairs: int, encoded_bits: int, r_a_literal: float,
-        huffman_total_bits: int, huffman_rate: float, huffman_entropy: float,
-        l_not_huffman: int, l_huffman: float, h_a: float, w: bytes,
-    ):
-        super().__init__(
-            length, nrpairs, encoded_bits, r_a_literal, huffman_total_bits,
-            huffman_rate, huffman_entropy, l_not_huffman, l_huffman, h_a, w,
-        )
 
     @cached_property
     def stats(self) -> PairStats:

@@ -62,7 +62,15 @@ def _alphabet_literal(literal: str) -> bytes:
         ) from None
 
 
+def _refuse_both(args: argparse.Namespace, first: str, second: str) -> None:
+    """Refuse two flags of which the second would be ignored."""
+    if getattr(args, first, None) is not None and getattr(args, second, None) is not None:
+        message = f"--{first} and --{second} cannot be used together"
+        raise AdaptiveCodeError(message.replace("_", "-"))
+
+
 def _resolve_alphabet(args: argparse.Namespace, fallback: bytes | None) -> Alphabet:
+    _refuse_both(args, "alphabet", "from_corpus")
     if getattr(args, "alphabet", None):
         return alphabet_from_bytes(_alphabet_literal(args.alphabet))
     if getattr(args, "from_corpus", None):
@@ -83,6 +91,8 @@ def _read_table(path: str):
 
 
 def _resolve_table(args: argparse.Namespace, fallback: bytes | None):
+    _refuse_both(args, "table", "alphabet")
+    _refuse_both(args, "table", "from_corpus")
     if getattr(args, "table", None):
         return _read_table(args.table)
     return build_order1(_resolve_alphabet(args, fallback))

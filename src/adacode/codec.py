@@ -8,9 +8,10 @@ code, at most one codeword can match the next bits. As in zlib's inflate,
 each row is built once into a table of 256 entries indexed by the next 8
 bits, read from a buffer of every bit offset's window byte, and longer
 codewords go on through sub-tables. The buffer covers one chunk of the
-input bits at a time, and the output grows chunk by chunk, so decoding
-holds little more than its input and output; IncrementalEncoder lets a
-caller encode in chunks the same way. There is one decode loop; the table
+input bits at a time and as many bits after it as the code's longest
+codeword has, and the output grows chunk by chunk, so decoding holds little
+more than its input and output; IncrementalEncoder lets a caller encode in
+chunks the same way. There is one decode loop; the table
 codec and the GA codes of adacode.ga supply only their context rule, a cache
 of their rows and one callback for a context not in it, which also words
 their errors. Only decoding and adacode.ga.ga_encode run a loop per symbol.
@@ -22,7 +23,7 @@ from typing import Callable, Iterable
 
 # the errors live in core, so that the CLI can catch them without this module
 from .core import CodeTable, DecodeError, EncodeError, Record, TableError
-from .core import format_context, is_bits, table_get
+from .core import _pack_bits, format_context, is_bits, table_get
 from .prefix import is_prefix_code
 
 
@@ -31,9 +32,6 @@ class DecodeTrace(Record):
     (always one per output symbol), and how many bits were consumed."""
 
     __slots__ = _fields = ("output", "iterations", "bits_consumed")
-
-    def __init__(self, output: bytes, iterations: int, bits_consumed: int):
-        super().__init__(output, iterations, bits_consumed)
 
 
 def prefix_predicate(table: CodeTable) -> bool:
@@ -145,15 +143,13 @@ def _code(row: Iterable[tuple[int, str]], depth: int = 0, width: int = 8) -> lis
     return table
 
 
-def _descend(table: list, windows: bytearray, cursor: int, total: int) -> list | bool | None:
+def _descend(table: list, windows: bytearray, cursor: int, total: int) -> list | bool:
     """The cell of the codeword at cursor that a row's table reaches through
     sub-tables, or on a miss whether the bits left begin a longer codeword,
-    as they do when a sub-table is reached with none left; None if the
-    codeword runs past the end of windows before total."""
+    as they do when a sub-table is reached with none left. windows holds
+    every bit of the longest codeword that can start at cursor."""
     shift = 0
     while cursor < total:
-        if cursor >= len(windows):
-            return None  # the codeword runs past the buffer
         index = windows[cursor] >> shift
         if table[index] is _MISS:
             span = 1 << max(0, 8 - shift - total + cursor)
@@ -171,6 +167,7 @@ def _greedy_decode(
     context: Callable[[int, memoryview], object],
     codes: dict,
     missing: Callable[[object, int, int], tuple[bytes, list]],
+    lookahead: int,
     fixed_window: bool = False,
 ) -> DecodeTrace:
     """The greedy decode loop behind decode() and ga_decode(). The context of
@@ -180,29 +177,29 @@ def _greedy_decode(
     maps a context's bytes to its decode table (see _code); a result that is
     not a key goes to missing(result, p, cursor), which returns the bytes of
     the context it names and its decode table, or raises a DecodeError that
-    carries that context. The bits are decoded _CHUNK bytes at a time:
-    windows[i] is the 8 bits from bit base + i, zeros past the end, for the
-    chunk and the lookahead bits after it, which hold any codeword of up to
-    255 bits that starts in the chunk and double when a longer one does not
-    fit. The output grows by at most one byte per bit of each chunk.
-    With fixed_window, a cell caches the code of the next context. Every
-    DecodeError raised once decoding has started names the position and the
-    context of the symbol being decoded, and its global bit offset."""
-    if not isinstance(bits, (str, bytes)):
-        raise DecodeError(f"bit sequence must be a str or bytes, not {type(bits).__name__}")
+    carries that context and the position p. The bits are decoded _CHUNK
+    bytes at a time: windows[i] is the 8 bits from bit base + i, zeros past
+    the end, for the chunk and the lookahead bits after it, which number the
+    length of the longest codeword, so every codeword that starts in the
+    chunk is read whole. The output grows by at most one byte per bit of
+    each chunk. With fixed_window, a cell caches the code of the next
+    context. Every DecodeError raised once decoding has started names the
+    position and the context of the symbol being decoded, and its global
+    bit offset."""
     if isinstance(bits, str):
         if not is_bits(bits):
             raise DecodeError("bit sequence must contain only 0 and 1")
         total = len(bits)
-        bits = (int(bits or "0", 2) << (-total % 8)).to_bytes((total + 7) // 8, "big")
-    else:
+        bits = _pack_bits(bits)
+    elif isinstance(bits, bytes):
         total = 8 * len(bits)
+    else:
+        raise DecodeError(f"bit sequence must be a str or bytes, not {type(bits).__name__}")
     limit = total if max_symbols is None else max(0, min(max_symbols, total))
     out = bytearray()
     view = memoryview(out).toreadonly()
     base = cursor = count = 0  # cursor counts bits from base, a multiple of 8
     code = cell = None
-    lookahead = 256
     while True:
         end = total - base
         stop = min(end, 8 * _CHUNK)  # a codeword that starts before stop is decoded here
@@ -233,18 +230,13 @@ def _greedy_decode(
                     ctx = ctx.tobytes()
                 code = codes.get(ctx) if type(ctx) is bytes else None
                 if code is None:
-                    try:
-                        ctx, code = missing(ctx, count + 1, base + cursor)
-                    except DecodeError as exc:
-                        exc.position = count + 1
-                        raise
+                    ctx, code = missing(ctx, count + 1, base + cursor)
                 if fixed_window and cell is not None:
                     cell[1] = code
             cell = code[windows[cursor]]
             if not cell[2]:
                 cell = _descend(code, windows, cursor, end)
-                # a miss gives True if the input is truncated, else False;
-                # a codeword past the buffer gives None
+                # a miss gives True if the input is truncated, else False
                 if type(cell) is not list:
                     break
             out[count] = cell[0]
@@ -261,9 +253,7 @@ def _greedy_decode(
             count -= 1
             cursor -= cell[2]
             cell = True  # the last codeword runs past the end
-        if cell is not None:
-            break
-        lookahead *= 2  # the codeword at cursor is longer than the lookahead
+        break  # on to the error
     if fixed_window:  # a cached successor leaves ctx stale
         ctx = context(count + 1, view[:count])
     kind = "truncated input" if cell else "undecodable"
@@ -291,13 +281,13 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
         ctx = tuple(map(table.alphabet.index_of, window))
         if ctx not in table.rows:
             name = f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}"
-            raise DecodeError(f"no codeword row for context {name}", cursor, context=window)
+            raise DecodeError(f"no codeword row for context {name}", cursor, position, window)
         code = codes[window] = _code(zip(table.alphabet.symbols, table.rows[ctx]))
         return window, code
 
     try:
         return _greedy_decode(
-            bits, max_symbols, _window(table.order), codes, missing, fixed_window=True
+            bits, max_symbols, _window(table.order), codes, missing, table._longest, True
         )
     finally:  # cells and rows refer to each other through the cached successors
         for code in codes.values():

@@ -54,7 +54,7 @@ once, as one string that every cell holding it shares.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .builder import build_order1
@@ -68,6 +68,8 @@ from .core import (
     Context,
     Record,
     TableError,
+    _context_count,
+    _pack_bits,
     format_context,
     format_symbol,
     is_bits,
@@ -92,9 +94,6 @@ class PackedBits(Record):
 
     __slots__ = _fields = ("data", "bit_count")
 
-    def __init__(self, data: bytes, bit_count: int):
-        super().__init__(data, bit_count)
-
 
 def pack_bits(bits: str) -> PackedBits:
     return PackedBits(b"".join(_pack((bits,))), len(bits))
@@ -113,7 +112,7 @@ def _pack(chunks: Iterable[str]) -> Iterator[bytes]:
         rest = len(bits) % 8
         yield (int(bits or "0", 2) >> rest).to_bytes(len(bits) // 8, "big")
         carry = bits[len(bits) - rest :]
-    yield (int(carry or "0", 2) << (-len(carry) % 8)).to_bytes((len(carry) + 7) // 8, "big")
+    yield _pack_bits(carry)
 
 
 def unpack_bits(packed: PackedBits) -> str:
@@ -131,9 +130,6 @@ class ContainerContent(Record):
     """Everything read_container recovers from a container."""
 
     __slots__ = _fields = ("table", "symbol_count", "payload_bits", "builder_mode")
-
-    def __init__(self, table: CodeTable, symbol_count: int, payload_bits: str, builder_mode: bool):
-        super().__init__(table, symbol_count, payload_bits, builder_mode)
 
 
 def _check_symbol_count(count: object) -> None:
@@ -161,10 +157,9 @@ def _container_mode(table: CodeTable, builder_mode: bool | None = None) -> int:
             )
     if not table.is_total():
         raise ContainerError("explicit containers require a total table")
-    longest = max(map(len, chain.from_iterable(table.rows.values())))
-    if longest > 255:
+    if table._longest > 255:
         raise ContainerError("codeword longer than 255 bits")
-    return MODE_LENGTHS if longest <= 15 and _is_canonical(table) else MODE_EXPLICIT
+    return MODE_LENGTHS if table._longest <= 15 and _is_canonical(table) else MODE_EXPLICIT
 
 
 def _is_canonical(table: CodeTable) -> bool:
@@ -225,7 +220,7 @@ def _write_container(
             for word in table.rows[ctx]:
                 raw = encoded.get(word)
                 if raw is None:
-                    raw = encoded[word] = bytes((len(word),)) + pack_bits(word).data
+                    raw = encoded[word] = bytes((len(word),)) + _pack_bits(word)
                 out += raw
     for piece in _pack(payload):
         out += piece
@@ -280,7 +275,7 @@ def _parse_container(data: bytes) -> tuple[CodeTable, int, bytes, bool]:
         table = build_order1(alphabet)
     elif mode == MODE_EXPLICIT:
         # Each codeword takes at least two bytes: its length and one of bits.
-        minimum = 2 * h * sum(h**k for k in range(order + 1))
+        minimum = 2 * h * _context_count(h, order)
         if minimum > len(data) - cursor:
             raise ContainerError(
                 f"truncated container: an explicit table needs at least {minimum} "
@@ -308,7 +303,7 @@ def _parse_container(data: bytes) -> tuple[CodeTable, int, bytes, bool]:
             rows[ctx] = tuple(row)
         table = CodeTable(alphabet=alphabet, order=order, rows=rows)
     elif mode == MODE_LENGTHS:
-        count = h * sum(h**k for k in range(order + 1))
+        count = h * _context_count(h, order)
         size = (count + 1) // 2
         if size > len(data) - cursor:
             raise ContainerError(
@@ -437,10 +432,7 @@ def table_from_text(text: str) -> CodeTable:
         fields = line.split()
         if len(fields) != 2 or fields[0] != "alphabet":
             raise TableError("expected 'alphabet <symbols>'")
-        values = _parse_symbol_values(fields[1])
-        if len(set(values)) != len(values):
-            raise TableError("alphabet symbols must be distinct")
-        alphabet = Alphabet(tuple(values))
+        alphabet = Alphabet(tuple(_parse_symbol_values(fields[1])))
         h = alphabet.size
 
         for line_no, line in content:
@@ -473,7 +465,7 @@ def table_from_text(text: str) -> CodeTable:
                     f"duplicate cell for context '{ctx_field}' and symbol '{symbol_field}'"
                 )
             row[symbol] = word
-    except TableError as exc:
+    except AdaptiveCodeError as exc:  # a TableError, or Alphabet's own error
         raise TableError(f"line {line_no}: {exc}") from None
 
     for ctx, row in cells.items():

@@ -74,13 +74,16 @@ def format_symbol(symbol: int) -> str:
 class Record:
     """Base of the package's immutable values.
 
-    A subclass lists its fields in _fields, in constructor order; its
-    __init__ checks the arguments and hands the field values to
-    Record.__init__. Records are equal when they have the same type and equal
-    fields, hash as the tuple of their fields (so a record holding a dict is
-    unhashable), and repr as Name(field=value, ...) without the fields in
-    _hidden. Nothing can be assigned or deleted after construction; slots
-    outside _fields are caches, set once with object.__setattr__. Copies and
+    A subclass lists its fields in _fields, in constructor order.
+    Record.__init__ binds positional and keyword arguments to them as a
+    function binds its parameters, and raises TypeError for too many,
+    missing, unknown or repeated arguments; a subclass that checks its
+    arguments has its own __init__, which hands the field values on.
+    Records are equal when they have the same type and equal fields, hash as
+    the tuple of their fields (so a record holding a dict is unhashable),
+    and repr as Name(field=value, ...) without the fields in _hidden.
+    Nothing can be assigned or deleted after construction; slots outside
+    _fields are caches, set once with object.__setattr__. Copies and
     unpickled records are built by calling the class with the field values.
     """
 
@@ -91,9 +94,15 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls._fields  # positional class patterns in match
 
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args))
+        repeated = len(args) > len(fields) or values.keys() & kwargs.keys()
+        values.update(kwargs)
+        if repeated or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -183,6 +192,16 @@ def iter_contexts(alphabet_size: int, order: int) -> Iterator[Context]:
         yield from product(range(alphabet_size), repeat=length)
 
 
+def _context_count(alphabet_size: int, order: int) -> int:
+    """How many contexts iter_contexts yields."""
+    return sum(alphabet_size**k for k in range(order + 1))
+
+
+def _pack_bits(bits: str) -> bytes:
+    """A '0'/'1' str packed MSB-first into bytes, the last one zero-padded."""
+    return (int(bits or "0", 2) << (-len(bits) % 8)).to_bytes((len(bits) + 7) // 8, "big")
+
+
 def is_bits(s: str) -> bool:
     """True if s holds only the characters 0 and 1. A long s is checked in
     slices of 64 KiB, so that it is never copied whole."""
@@ -191,15 +210,15 @@ def is_bits(s: str) -> bool:
     return all(map(is_bits, (s[i : i + (1 << 16)] for i in range(0, len(s), 1 << 16))))
 
 
-def _check_codewords(rows: Collection[Iterable[Codeword]]) -> None:
-    """Raise TableError unless every word of rows is a nonempty string of
-    0/1 bits. Tables repeat codewords, so the distinct words are checked
-    together; only if one is bad or unhashable does a scan in order name the
-    first bad word."""
+def _check_codewords(rows: Collection[Iterable[Codeword]]) -> int:
+    """The length of the longest word of rows (0 if there is none), or
+    TableError unless every word is a nonempty string of 0/1 bits. Tables
+    repeat codewords, so the distinct words are checked together; only if
+    one is bad or unhashable does a scan in order name the first bad word."""
     try:
         words = set(chain.from_iterable(rows))
         if "" not in words and is_bits("".join(words)):
-            return
+            return max(map(len, words), default=0)
     except TypeError:  # an unhashable word, or a word that is not a str
         pass
     for word in chain.from_iterable(rows):
@@ -217,8 +236,9 @@ class CodeTable(Record):
     """
 
     # _prefix caches codec.prefix_predicate, set on its first call or by the
-    # container reader, which rebuilds code-length rows as prefix codes
-    __slots__ = ("alphabet", "order", "rows", "_prefix")
+    # container reader, which rebuilds code-length rows as prefix codes;
+    # _longest is the length of the longest codeword
+    __slots__ = ("alphabet", "order", "rows", "_prefix", "_longest")
     _fields = ("alphabet", "order", "rows")
 
     def __init__(
@@ -241,15 +261,15 @@ class CodeTable(Record):
                     f"{len(row)} codewords, expected {h}"
                 )
             normalized[ctx] = row
-        _check_codewords(normalized.values())
+        longest = _check_codewords(normalized.values())
         if EMPTY_CONTEXT not in normalized:
             raise TableError("table must define the empty-context row")
         super().__init__(alphabet, order, normalized)
+        object.__setattr__(self, "_longest", longest)
 
     def is_total(self) -> bool:
         """True if every context up to the table's order has a row."""
-        expected = sum(self.alphabet.size ** k for k in range(self.order + 1))
-        return len(self.rows) == expected
+        return len(self.rows) == _context_count(self.alphabet.size, self.order)
 
 
 def table_get(table: CodeTable, symbol: int, ctx: Sequence[int]) -> Codeword:

@@ -99,8 +99,9 @@ class GACode(Record):
 
     # _cells and _codes are built once per code, never written after: per
     # context within the rule's bound, keyed by its bytes, the encoder row
-    # (symbol -> codeword) and, if the row is a prefix code, its _code
-    __slots__ = ("function", "lookup", "_cells", "_codes")
+    # (symbol -> codeword) and, if the row is a prefix code, its _code;
+    # _longest is the length of the longest codeword
+    __slots__ = ("function", "lookup", "_cells", "_codes", "_longest")
     _fields = ("function", "lookup")
 
     def __init__(
@@ -117,7 +118,7 @@ class GACode(Record):
             ctx = tuple(ctx)
             normalized[(symbol, ctx)] = word
             rows.setdefault(ctx, {})[symbol] = word
-        _check_codewords([normalized.values()])
+        longest = _check_codewords([normalized.values()])
         if not normalized:
             raise AdaptiveCodeError("lookup must define at least one codeword")
         for ctx, row in rows.items():
@@ -132,6 +133,7 @@ class GACode(Record):
         super().__init__(function, normalized)
         object.__setattr__(self, "_cells", rows)
         object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_longest", longest)
 
 
 def lookup_from_table(table: CodeTable) -> dict[tuple[int, Symbols], Codeword]:
@@ -181,8 +183,9 @@ def ga_decode(code: GACode, bits: str | bytes) -> bytes:
             return ctx, code._codes[ctx]
         name = format_context(_BYTE_VALUES, ctx)
         if ctx in code._cells:
-            raise DecodeError(f"non-prefix row at visited context '{name}'", context=ctx)
+            raise DecodeError(f"non-prefix row at visited context '{name}'", None, position, ctx)
         message = f"no codewords for context '{name}' at bit offset {cursor}"
-        raise DecodeError(message, cursor, context=ctx)
+        raise DecodeError(message, cursor, position, ctx)
 
-    return _greedy_decode(bits, None, code.function.rule, code._codes, missing).output
+    rule = code.function.rule
+    return _greedy_decode(bits, None, rule, code._codes, missing, code._longest).output

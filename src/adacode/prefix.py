@@ -56,9 +56,6 @@ class HuffmanResult(Record):
 
     __slots__ = _fields = ("codewords",)
 
-    def __init__(self, codewords: dict[int, Codeword]):
-        super().__init__(codewords)
-
     @property
     def lengths(self) -> dict[int, int]:
         return {symbol: len(word) for symbol, word in self.codewords.items()}

@@ -81,6 +81,30 @@ def test_build_requires_alphabet_source(capsys):
     assert "alphabet source is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        ("build --alphabet ab --from-corpus MISSING", "--alphabet and --from-corpus"),
+        ("encode IN --table TABLE --alphabet xyz", "--table and --alphabet"),
+        ("encode IN --table TABLE --from-corpus MISSING", "--table and --from-corpus"),
+        ("encode IN --builder --alphabet ab --from-corpus MISSING", "--alphabet and --from-corpus"),
+        ("stats IN --table TABLE --from-corpus MISSING", "--table and --from-corpus"),
+        ("stats IN --alphabet abc --from-corpus MISSING", "--alphabet and --from-corpus"),
+        ("compare IN IN --table TABLE --alphabet ab", "--table and --alphabet"),
+        ("compare IN IN --alphabet abc --from-corpus MISSING", "--alphabet and --from-corpus"),
+    ],
+)
+def test_flags_that_would_be_ignored_are_refused(tmp_path, capsys, argv, flags):
+    # neither flag wins silently, and the path of an ignored corpus is never read
+    paths = {"IN": tmp_path / "in", "TABLE": tmp_path / "t.txt", "MISSING": tmp_path / "missing"}
+    paths["IN"].write_bytes(W1)
+    paths["TABLE"].write_text(table_to_text(build_order1(alphabet_from_bytes(b"abc"))))
+    out = tmp_path / "out"
+    assert main([str(paths.get(arg, arg)) for arg in argv.split()] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"adacode: {flags} cannot be used together\n"
+    assert not out.exists()
+
+
 def test_build_rejects_multibyte_alphabet_literal(capsys):
     assert main(["build", "--alphabet", "a€"]) == 2
     assert "single-byte characters" in capsys.readouterr().err

@@ -523,6 +523,10 @@ def test_decode_chunk_boundaries_change_no_result_or_error(monkeypatch, chunk):
         if table is tables[0]:
             ga_bits = ga_encode(skip2, data)
             runs += [lambda p=p: ga_decode(skip2, p) for p in (ga_bits, ga_bits[:size + 1])]
+        if table is wide:  # the GA path of a codeword longer than a container allows
+            wide_ga = GACode(skip2.function, lookup_from_table(wide))
+            ga_bits = ga_encode(wide_ga, data)
+            runs += [lambda p=p: ga_decode(wide_ga, p) for p in (ga_bits, ga_bits[:size + 1])]
         for run in runs:
             monkeypatch.setattr(codec, "_CHUNK", size // 8)
             chunked = _chunked_outcome(run)

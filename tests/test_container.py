@@ -752,11 +752,15 @@ def test_fitted_tables_roundtrip_as_code_lengths(order, size, rng):
 def test_writer_keeps_codewords_for_tables_that_are_not_canonical():
     tables = [unary_table(), example_order2_table()]
     tables += [build_order1(Alphabet(tuple(range(97, 97 + n)))) for n in range(3, 17)]
+    # lengths 1, 1, 2 oversubscribe the one-bit codes, so these rows have no canonical code
+    oversubscribed = dict.fromkeys(iter_contexts(3, 1), ("0", "1", "00"))
+    tables.append(CodeTable(alphabet_from_bytes(b"abc"), 1, oversubscribed))
     for table in tables:
         blob = write_container(table, 0, "", builder_mode=False)
         header = 17 + table.alphabet.size
         assert blob[header - 1] == 0x01
         assert blob[header:] == explicit_table_bytes(table)
+        assert read_container(blob).table == table
     # both rows of the two-symbol builder table, "0" "10" and "10" "0", are canonical
     pair = build_order1(alphabet_from_bytes(b"ab"))
     blob = write_container(pair, 0, "", builder_mode=False)

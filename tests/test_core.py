@@ -35,6 +35,7 @@ def test_alphabet_preserves_explicit_order():
     a = Alphabet((ord("b"), ord("a")))
     assert a.symbols == (98, 97)
     assert a.index_of(97) == 1
+    assert len(a) == a.size == 2
 
 
 def test_alphabet_rejects_duplicates_and_non_bytes():

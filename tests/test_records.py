@@ -91,7 +91,7 @@ RECORDS = [
 each_record = pytest.mark.parametrize(
     "cls, fields, text, hashable", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS]
 )
-HIDDEN = ("_index", "_prefix", "_cells", "_codes")
+HIDDEN = ("_index", "_prefix", "_cells", "_codes", "_longest")
 
 
 @each_record
@@ -168,7 +168,9 @@ def test_keyword_and_positional_construction():
         case PackedBits(data, bit_count):
             matched = (data, bit_count)
     assert matched == (b"\x80", 1)
-    for args, kwargs in (((b"",), {}), ((b"", 0, 1), {}), ((b"",), {"bits": 0})):
+    for args, kwargs in (
+        ((b"",), {}), ((b"", 0, 1), {}), ((b"",), {"bits": 0}), ((b"", 0), {"data": b""})
+    ):
         with pytest.raises(TypeError):
             PackedBits(*args, **kwargs)
 
