@@ -7,14 +7,20 @@ input. Decoding is greedy: because every context row it visits is a prefix
 code, at most one codeword can match the next bits. As in zlib's inflate,
 each row is built once into a table of 256 entries indexed by the next 8
 bits, read from a buffer of every bit offset's window byte, and longer
-codewords go on through sub-tables. The buffer covers one chunk of the
-input bits at a time and as many bits after it as the code's longest
-codeword has, and the output grows chunk by chunk, so decoding holds little
-more than its input and output; IncrementalEncoder lets a caller encode in
-chunks the same way. There is one decode loop; the table
-codec and the GA codes of adacode.ga supply only their context rule, a cache
-of their rows and one callback for a context not in it, which also words
-their errors. Only decoding and adacode.ga.ga_encode run a loop per symbol.
+codewords go on through sub-tables. Each entry holds an immutable cell
+(byte value, length, successor slot), one per symbol and length, that all
+rows share. After its 256 entries a row has one slot per symbol of the
+alphabet, which holds the row that follows that symbol once it is first
+needed. The buffer covers one chunk of the input bits at a time and as
+many bits after it as the code's longest codeword has, and the output grows
+chunk by chunk, so decoding holds its input, its output and, per visited
+context row, about 256 + h pointers for an alphabet of h symbols plus the
+sub-tables of codewords longer than 8 bits; IncrementalEncoder lets a
+caller encode in chunks the same way. There is one decode loop; the table
+codec and the GA codes of adacode.ga supply only their context rule, a
+cache of their rows and one callback for a context not in it, which also
+words their errors. Only decoding and adacode.ga.ga_encode run a loop per
+symbol.
 """
 
 from __future__ import annotations
@@ -121,42 +127,46 @@ _MISS = (None, 0, 0)  # the entry of bits that begin no codeword
 _CHUNK = 1 << 13  # payload bytes per window buffer of the decode loop
 
 
-def _code(row: Iterable[tuple[int, str]], depth: int = 0, width: int = 8) -> list:
-    """A prefix-code row's (byte value, codeword) pairs as a decode table of
-    2 ** width entries, indexed by the width bits from bit depth on. A
-    codeword that ends there fills the entries that start with it with its
-    cell [byte value, next code, length]; longer ones go on through a
-    sub-table entry (sub-table, 8 - k, 0) of k <= 8 bits, as in zlib's
-    inflate; the rest are _MISS."""
-    table = [_MISS] * (1 << width)
+def _code(row: Iterable[tuple[tuple, str]], slots: int, depth: int = 0, width: int = 8) -> list:
+    """A prefix-code row's (cell, codeword) pairs as a decode table of
+    2 ** width entries, indexed by the width bits from bit depth on, then
+    slots successor slots that start as None. A cell is an immutable tuple
+    (byte value, length, index of its successor slot) that rows may share;
+    a codeword that ends within the width fills the entries that start with
+    it with its cell. Longer ones go on through a sub-table entry
+    (sub-table, 0, 8 - k) of k <= 8 bits, as in zlib's inflate; the rest
+    are _MISS. Every leaf has a length, every other entry length 0."""
+    table = [_MISS] * (1 << width) + [None] * slots
     longer: dict[int, list] = {}
-    for value, word in row:
+    for cell, word in row:
         if len(word) - depth <= width:
             span = 1 << (width - len(word) + depth)
             start = int(word[depth:], 2) * span
-            table[start : start + span] = [[value, None, len(word)]] * span
+            table[start : start + span] = [cell] * span
         else:
-            longer.setdefault(int(word[depth : depth + 8], 2), []).append((value, word))
+            longer.setdefault(int(word[depth : depth + 8], 2), []).append((cell, word))
     for index, group in longer.items():
         k = min(8, max(len(word) for _, word in group) - depth - 8)
-        table[index] = (_code(group, depth + 8, k), 8 - k, 0)
+        table[index] = (_code(group, 0, depth + 8, k), 0, 8 - k)
     return table
 
 
-def _descend(table: list, windows: bytearray, cursor: int, total: int) -> list | bool:
-    """The cell of the codeword at cursor that a row's table reaches through
-    sub-tables, or on a miss whether the bits left begin a longer codeword,
-    as they do when a sub-table is reached with none left. windows holds
-    every bit of the longest codeword that can start at cursor."""
+def _descend(table: list, windows: bytearray, cursor: int, total: int) -> tuple | bool:
+    """The shared cell of the codeword at cursor, which a row's table reaches
+    through its sub-table entries (sub-table, 0, 8 - k), or on a miss
+    whether the bits left begin a longer codeword, as they do when a
+    sub-table is reached with none left. windows holds every bit of the
+    longest codeword that can start at cursor. The slot that the cell names
+    is in the row's own table, not in a sub-table."""
     shift = 0
     while cursor < total:
         index = windows[cursor] >> shift
         if table[index] is _MISS:
             span = 1 << max(0, 8 - shift - total + cursor)
             return total - cursor < 8 - shift and table[index : index + span] != [_MISS] * span
-        if table[index][2]:
+        if table[index][1]:
             return table[index]
-        table, shift, _ = table[index]
+        table, _, shift = table[index]
         cursor += 8
     return True
 
@@ -182,8 +192,12 @@ def _greedy_decode(
     the end, for the chunk and the lookahead bits after it, which number the
     length of the longest codeword, so every codeword that starts in the
     chunk is read whole. The output grows by at most one byte per bit of
-    each chunk. With fixed_window, a cell caches the code of the next
-    context. Every DecodeError raised once decoding has started names the
+    each chunk. The next symbol's table is the one in the slot that the
+    last cell names; an empty slot sends the loop to the context rule. With
+    fixed_window, the context follows from the last row and symbol, so the
+    loop stores the table it finds in that slot of the last row, whose key
+    is the context of the position before; otherwise every slot stays
+    empty. Every DecodeError raised once decoding has started names the
     position and the context of the symbol being decoded, and its global
     bit offset."""
     if isinstance(bits, str):
@@ -231,18 +245,18 @@ def _greedy_decode(
                 code = codes.get(ctx) if type(ctx) is bytes else None
                 if code is None:
                     ctx, code = missing(ctx, count + 1, base + cursor)
-                if fixed_window and cell is not None:
-                    cell[1] = code
+                if fixed_window and count:  # fill the slot of the row before
+                    codes[context(count, view[: count - 1])][cell[2]] = code
             cell = code[windows[cursor]]
-            if not cell[2]:
+            if not cell[1]:
                 cell = _descend(code, windows, cursor, end)
                 # a miss gives True if the input is truncated, else False
-                if type(cell) is not list:
+                if type(cell) is not tuple:
                     break
             out[count] = cell[0]
             count += 1
-            cursor += cell[2]
-            code = cell[1]
+            cursor += cell[1]
+            code = code[cell[2]]
         else:
             if count < limit and cursor < end:  # the next codeword starts past stop
                 base += cursor & ~7
@@ -251,10 +265,10 @@ def _greedy_decode(
             if cursor <= end:
                 return DecodeTrace(view[:count].tobytes(), count, base + cursor)
             count -= 1
-            cursor -= cell[2]
+            cursor -= cell[1]
             cell = True  # the last codeword runs past the end
         break  # on to the error
-    if fixed_window:  # a cached successor leaves ctx stale
+    if fixed_window:  # a filled slot leaves ctx stale
         ctx = context(count + 1, view[:count])
     kind = "truncated input" if cell else "undecodable"
     cursor += base
@@ -276,19 +290,23 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
         raise DecodeError("table has a context row that is not a prefix code; decoding refused")
 
     codes: dict[bytes, list] = {}
+    cells: dict[tuple, tuple] = {}  # one per (symbol, length), shared by the rows
+    values, slots = table.alphabet.symbols, range(256, 256 + table.alphabet.size)
 
     def missing(window: bytes, position: int, cursor: int) -> tuple[bytes, list]:
         ctx = tuple(map(table.alphabet.index_of, window))
         if ctx not in table.rows:
             name = f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}"
             raise DecodeError(f"no codeword row for context {name}", cursor, position, window)
-        code = codes[window] = _code(zip(table.alphabet.symbols, table.rows[ctx]))
+        words = table.rows[ctx]
+        keys = list(zip(values, map(len, words), slots))
+        code = codes[window] = _code(zip(map(cells.setdefault, keys, keys), words), len(slots))
         return window, code
 
     try:
         return _greedy_decode(
             bits, max_symbols, _window(table.order), codes, missing, table._longest, True
         )
-    finally:  # cells and rows refer to each other through the cached successors
+    finally:  # rows refer to each other through their successor slots
         for code in codes.values():
             code.clear()

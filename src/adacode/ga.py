@@ -99,8 +99,10 @@ class GACode(Record):
 
     # _cells and _codes are built once per code, never written after: per
     # context within the rule's bound, keyed by its bytes, the encoder row
-    # (symbol -> codeword) and, if the row is a prefix code, its _code;
-    # _longest is the length of the longest codeword
+    # (symbol -> codeword) and, if the row is a prefix code, its _code, whose
+    # cells the rows share and whose one successor slot stays None, since a
+    # rule's context need not follow from the row and the symbol; _longest
+    # is the length of the longest codeword
     __slots__ = ("function", "lookup", "_cells", "_codes", "_longest")
     _fields = ("function", "lookup")
 
@@ -128,8 +130,13 @@ class GACode(Record):
         # a context over the bound is never looked up: the rule's check refuses it
         bound = function.max_context
         rows = {bytes(c): r for c, r in rows.items() if bound is None or len(c) <= bound}
-        # r.values() keeps a repeated codeword, so such a row is not a prefix code
-        codes = {c: _code(r.items()) for c, r in rows.items() if is_prefix_code(r.values())}
+        cells: dict[tuple, tuple] = {}  # one per (symbol, length), shared by the rows
+        codes = {}
+        for c, r in rows.items():
+            # r.values() keeps a repeated codeword, so such a row is not a prefix code
+            if is_prefix_code(r.values()):
+                keys = [(v, len(w), 256) for v, w in r.items()]
+                codes[c] = _code(zip(map(cells.setdefault, keys, keys), r.values()), 1)
         super().__init__(function, normalized)
         object.__setattr__(self, "_cells", rows)
         object.__setattr__(self, "_codes", codes)

@@ -429,11 +429,20 @@ def test_roundtrip_random_tables_and_oracle():
         cases.append((table, random_string(rng, table.alphabet, rng.randint(0, 60))))
     for row in set(unary.rows.values()):
         # the all-ones entry of each table leads to the next 8 bits, and the
-        # last sub-table holds only the 7 bits left of the 255-bit codewords
-        sizes, table = [], _code(zip(unary.alphabet.symbols, row))
+        # last sub-table holds only the 7 bits left of the 255-bit codewords;
+        # the top table ends in one successor slot per symbol
+        symbols = unary.alphabet.symbols
+        cells = [(symbols[i], len(word), 256 + i) for i, word in enumerate(row)]
+        table = _code(zip(cells, row), 256)
+        assert table[256:] == [None] * 256
+        del table[256:]
+        sizes = []
         while table is not None:
             sizes.append(len(table))
-            table = None if table[-1][2] else table[-1][0]
+            # a sub-table entry is (sub-table, 0, 8 - k); a leaf cell has a length
+            sub, length, shift = table[-1]
+            assert length or len(sub) == 1 << (8 - shift)
+            table = None if length else sub
         assert sizes == [256] * 31 + [128]
     for table, w in cases:
         bits = encode(table, w)
@@ -535,38 +544,40 @@ def test_decode_chunk_boundaries_change_no_result_or_error(monkeypatch, chunk):
 
 
 def test_decode_leaves_no_cyclic_garbage():
-    # cells cache their successors' rows, and rows hold their cells: decode
-    # breaks those links before it returns or raises, so that the garbage
-    # collector is not needed to free them
-    rng = random.Random(29)
-    table = random_table(rng, 2, 16)
-    data = random_string(rng, table.alphabet, 1 << 15)
-    payload = pack_bits(encode(table, data)).data
-    middle = len(payload) // 2
-    broken = payload[:middle] + bytes([payload[middle] ^ 0xFF]) + b"\xff" * 64
+    # rows link to their successors' rows through their slots, and to their
+    # sub-tables: decode breaks those links before it returns or raises, so
+    # that the garbage collector is not needed to free them
+    for size in (16, 32):
+        rng = random.Random(29)
+        table = random_table(rng, 2, size)
+        assert table._longest > 8  # codewords of up to 10 and 15 bits
+        data = random_string(rng, table.alphabet, 1 << 15)
+        payload = pack_bits(encode(table, data)).data
+        middle = len(payload) // 2
+        broken = payload[:middle] + bytes([payload[middle] ^ 0xFF]) + b"\xff" * 64
 
-    def fail() -> None:
-        with pytest.raises(DecodeError):
-            decode(table, broken, len(data))
+        def fail() -> None:
+            with pytest.raises(DecodeError):
+                decode(table, broken, len(data))
 
-    gc.collect()
-    gc.disable()
-    try:
-        decode(table, payload, len(data))  # fills the interpreter's free lists
-        fail()
-        tracemalloc.start()
+        gc.collect()
+        gc.disable()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert decode(table, payload, len(data)).output == data
-            returned = tracemalloc.get_traced_memory()[0]
+            decode(table, payload, len(data))  # fills the interpreter's free lists
             fail()
-            raised = tracemalloc.get_traced_memory()[0]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert decode(table, payload, len(data)).output == data
+                returned = tracemalloc.get_traced_memory()[0]
+                fail()
+                raised = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
         finally:
-            tracemalloc.stop()
-    finally:
-        gc.enable()
-    assert returned - before < 64 * 1024
-    assert raised - before < 64 * 1024
+            gc.enable()
+        assert returned - before < 64 * 1024
+        assert raised - before < 64 * 1024
 
 
 def _traced_peak(run) -> int:
@@ -589,3 +600,21 @@ def test_decode_without_a_symbol_count_sizes_its_output_by_symbols():
     unsized = _traced_peak(lambda: decode(table, bits))
     sized = _traced_peak(lambda: decode(table, bits, len(data)))
     assert unsized < sized + 96 * 1024
+
+
+def test_decode_memory_per_visited_row():
+    # a visited row holds its 256 window entries, one successor slot per
+    # symbol and the sub-tables of its longer codewords (about 2.6 KB here),
+    # while the cells of its codewords are shared with every other row
+    rng = random.Random(41)
+    table = random_table(rng, 2, 32)
+    assert table._longest > 8
+    data = random_string(rng, table.alphabet, 1 << 13)
+    bits = encode(table, data)
+    payload = pack_bits(bits).data
+    rows = len({data[max(0, i - 2) : i] for i in range(len(data))})
+    assert rows > 1000  # of the table's 1,057
+    peak = _traced_peak(lambda: decode(table, payload, len(data)))
+    assert peak < 8 * len(payload) + 2 * len(data) + 3 * 1024 * rows
+    code = GACode(order_n_function(2), lookup_from_table(table))
+    assert ga_decode(code, bits) == decode(table, payload, len(data)).output == data
