@@ -274,10 +274,7 @@ def render_comparison(rows: Sequence[tuple[str, AnalysisReport]]) -> str:
     """Aligned text table with one row per input and a winner column."""
     header = list(CSV_COLUMNS) + ["winner"]
     body = [_csv_row(name, report) + [winner(report)] for name, report in rows]
-    widths = [
-        max(len(header[col]), *(len(row[col]) for row in body)) if body else len(header[col])
-        for col in range(len(header))
-    ]
+    widths = [max(map(len, column)) for column in zip(header, *body)]
     lines = []
     for row in [header] + body:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())

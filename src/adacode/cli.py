@@ -197,39 +197,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="print the order-1 table for an alphabet")
     _add_alphabet_flags(p)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("encode", help="encode a file into a container")
     p.add_argument("input", help="input file, or - for stdin")
     _add_table_flags(p, required=True)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a container back to bytes")
     p.add_argument("input", help="container file, or - for stdin")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("verify", help="check the per-context prefix property")
     p.add_argument("input", help="table file in text format, or - for stdin")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="analysis report for one input")
     p.add_argument("inputs", nargs=1, metavar="input", help="input file, or - for stdin")
     _add_table_flags(p, required=False)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("compare", help="side-by-side report for several inputs")
     p.add_argument("inputs", nargs="+", help="input files, - for stdin")
     _add_table_flags(p, required=False)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="PATH")
     return parser
 
 
@@ -251,10 +247,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DecodeError, ContainerError) as exc:
         _fail(str(exc))
         return EXIT_DECODE
-    except AdaptiveCodeError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except OSError as exc:
+    except (AdaptiveCodeError, OSError) as exc:
         _fail(str(exc))
         return EXIT_USAGE
 

@@ -54,7 +54,7 @@ once, as one string that every cell holding it shares.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .builder import build_order1
@@ -106,7 +106,7 @@ def _pack(chunks: Iterable[str]) -> Iterator[bytes]:
     carry = ""
     for bits in chunks:
         # int() would also accept "_", a sign and surrounding whitespace
-        if not is_bits(bits):
+        if not isinstance(bits, str) or not is_bits(bits):
             raise ContainerError("bit sequence must contain only 0 and 1")
         bits = carry + bits
         rest = len(bits) % 8
@@ -214,14 +214,11 @@ def _write_container(
             lengths += b"\0"  # the pad nibble
         out += bytes.fromhex(lengths.translate(_TO_HEX).decode())
     elif mode == MODE_EXPLICIT:
-        # codeword -> its length byte and packed bits; rows repeat codewords
-        encoded: dict[Codeword, bytes] = {}
+        # rows repeat codewords, so each distinct one is packed once, length byte first
+        words = set(chain.from_iterable(table.rows.values()))
+        encoded = {word: bytes((len(word),)) + _pack_bits(word) for word in words}
         for ctx in iter_contexts(h, table.order):
-            for word in table.rows[ctx]:
-                raw = encoded.get(word)
-                if raw is None:
-                    raw = encoded[word] = bytes((len(word),)) + _pack_bits(word)
-                out += raw
+            out += b"".join(map(encoded.__getitem__, table.rows[ctx]))
     for piece in _pack(payload):
         out += piece
     return out
@@ -351,16 +348,11 @@ def decode_payload(table: CodeTable, payload_bits: str | bytes, symbol_count: in
 def table_to_text(table: CodeTable) -> str:
     """Render a table in the line-oriented text format, rows in canonical
     context order."""
-    lines = [
-        f"order {table.order}",
-        "alphabet " + "".join(format_symbol(v) for v in table.alphabet.symbols),
-    ]
+    names = [format_symbol(v) for v in table.alphabet.symbols]
+    lines = [f"order {table.order}", "alphabet " + "".join(names)]
     for ctx in sorted(table.rows, key=lambda c: (len(c), c)):
         ctx_text = format_context(table.alphabet, ctx)
-        for index, word in enumerate(table.rows[ctx]):
-            lines.append(
-                f"{ctx_text} {format_symbol(table.alphabet.symbols[index])} {word}"
-            )
+        lines += [f"{ctx_text} {name} {word}" for name, word in zip(names, table.rows[ctx])]
     return "\n".join(lines) + "\n"
 
 

@@ -171,8 +171,6 @@ class Alphabet(Record):
 
 def alphabet_from_bytes(data: bytes) -> Alphabet:
     """The sorted distinct byte values of data as an Alphabet."""
-    if not data:
-        raise AdaptiveCodeError("empty alphabet source")
     return Alphabet(tuple(sorted(set(data))))
 
 
@@ -244,6 +242,8 @@ class CodeTable(Record):
     def __init__(
         self, alphabet: Alphabet, order: int, rows: Mapping[Context, tuple[Codeword, ...]]
     ):
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise TableError(f"table order must be an int, got {order!r}")
         if order < 1:
             raise TableError("table order must be at least 1")
         h = alphabet.size

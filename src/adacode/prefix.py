@@ -91,11 +91,9 @@ def huffman_build(entries: Sequence[tuple[int, int]]) -> HuffmanResult:
     while len(leaves) + len(merged) > 1:
         weight_a, syms_a = pop_lightest()
         weight_b, syms_b = pop_lightest()
-        for s in syms_a:
-            depth[s] += 1
-        for s in syms_b:
-            depth[s] += 1
         merged.append((weight_a + weight_b, syms_a + syms_b))
+        for s in merged[-1][1]:
+            depth[s] += 1
     ordered = sorted(symbols)
     return HuffmanResult(dict(zip(ordered, canonical_codewords([depth[s] for s in ordered]))))
 

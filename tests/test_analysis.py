@@ -209,6 +209,8 @@ def test_render_comparison_winner_column():
     assert lines[0].split()[-1] == "winner"
     assert lines[1].split()[-1] == "huffman"
     assert lines[2].split()[-1] == "adaptive"
+    header = "  ".join(list(CSV_COLUMNS) + ["winner"])
+    assert render_comparison([]) == header + "\n"
 
 
 def test_render_stats_reports_bounds_without_asserting():

@@ -562,6 +562,38 @@ def test_report_usage_lines(monkeypatch, capsys):
         assert capsys.readouterr().out.startswith(usage)
 
 
+def test_usage_and_positional_sections(monkeypatch, capsys):
+    # --out is added to every command after its own flags, and stays last
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, usage in (
+        ([], "usage: adacode [-h] {build,encode,decode,verify,stats,compare} ...\n\n"
+         "Context-conditioned variable-length coding tools.\n\n"
+         "positional arguments:\n"
+         "  {build,encode,decode,verify,stats,compare}\n"
+         "    build               print the order-1 table for an alphabet\n"
+         "    encode              encode a file into a container\n"
+         "    decode              decode a container back to bytes\n"
+         "    verify              check the per-context prefix property\n"
+         "    stats               analysis report for one input\n"
+         "    compare             side-by-side report for several inputs\n\n"),
+        (["build"], "usage: adacode build [-h] [--alphabet LITERAL] [--from-corpus PATH]\n"
+         "                     [--out PATH]\n\n"),
+        (["encode"], "usage: adacode encode [-h] (--table PATH | --builder) [--alphabet LITERAL]\n"
+         "                      [--from-corpus PATH] [--out PATH]\n"
+         "                      input\n\n"
+         "positional arguments:\n"
+         "  input               input file, or - for stdin\n\n"),
+        (["decode"], "usage: adacode decode [-h] [--out PATH] input\n\n"
+         "positional arguments:\n"
+         "  input       container file, or - for stdin\n\n"),
+        (["verify"], "usage: adacode verify [-h] [--out PATH] input\n\n"
+         "positional arguments:\n"
+         "  input       table file in text format, or - for stdin\n\n"),
+    ):
+        assert main(argv + ["-h"]) == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+
 ABC_TABLE = build_order1(alphabet_from_bytes(b"abc"))
 # every row is the canonical code of its lengths, so the table is stored as lengths
 LENGTHS_TABLE = CodeTable(ABC_TABLE.alphabet, 1, {ctx: ("0", "10", "11") for ctx in ABC_TABLE.rows})

@@ -61,6 +61,12 @@ def test_pack_bits_rejects_non_bits():
     for bits in ("01a", "0_1", " 01", "01\n", "\u0660\u0661", "+1", "1" * 70000 + "_"):
         with pytest.raises(ContainerError):
             pack_bits(bits)
+    table = build_order1(alphabet_from_bytes(b"ab"))
+    for bits in (b"01", bytearray(b"01"), ["0", "1"]):
+        with pytest.raises(ContainerError, match="only 0 and 1"):
+            pack_bits(bits)
+        with pytest.raises(ContainerError, match="only 0 and 1"):
+            write_container(table, 2, bits)
 
 
 def test_unpack_bits_examples():

@@ -133,6 +133,10 @@ def test_code_table_validates_rows():
         CodeTable(alphabet=a, order=1, rows={(): ("0", "1"), (7,): ("0", "1")})
     with pytest.raises(TableError, match="order must be at least 1"):
         CodeTable(alphabet=a, order=0, rows={(): ("0", "1")})
+    # table_to_text would write "order 1.5" or "order True", which it cannot read back
+    for order in (1.5, 2.0, True):
+        with pytest.raises(TableError, match="table order must be an int"):
+            CodeTable(alphabet=a, order=order, rows={(): ("0", "1")})
 
 
 def test_is_total():
