@@ -1,30 +1,34 @@
 """Context-conditioned encoding and greedy prefix decoding.
 
 The codeword of each symbol depends only on the symbol and the window of up
-to `order` symbols before it, so encoding is a lookup keyed by (window,
-symbol) at every position, made at C level over the shifted slices of the
-input. Decoding is greedy: because every context row it visits is a prefix
-code, at most one codeword can match the next bits. As in zlib's inflate,
-each row is built once into a table of 256 entries indexed by the next 8
-bits, read from a buffer of every bit offset's window byte, and longer
-codewords go on through sub-tables. Each entry holds an immutable cell
-(byte value, length, successor slot), one per symbol and length, that all
-rows share. After its 256 entries a row has one slot per symbol of the
-alphabet, which holds the row that follows that symbol once it is first
-needed. The buffer covers one chunk of the input bits at a time and as
-many bits after it as the code's longest codeword has, and the output grows
-chunk by chunk, so decoding holds its input, its output and, per visited
-context row, about 256 + h pointers for an alphabet of h symbols plus the
-sub-tables of codewords longer than 8 bits; IncrementalEncoder lets a
-caller encode in chunks the same way. There is one decode loop; the table
-codec and the GA codes of adacode.ga supply only their context rule, a
-cache of their rows and one callback for a context not in it, which also
-words their errors. Only decoding and adacode.ga.ga_encode run a loop per
-symbol.
+to `order` symbols before it, so encoding reads the table's own rows: a
+chunk becomes symbol indices in one translate, and each position's codeword
+is rows[window][index], looked up at C level over the shifted slices of the
+indices. The encoder keeps no per-context state. Decoding is greedy:
+because every context row it visits is a prefix code, at most one codeword
+can match the next bits. As in zlib's inflate, each row is built once into
+a table of 256 entries indexed by the next 8 bits, read from a buffer of
+every bit offset's window byte, and longer codewords go on through
+sub-tables. Each entry holds an immutable cell (byte value, length,
+successor slot), one per symbol and length, that all rows share. After its
+256 entries a row has one slot per symbol of the alphabet, which holds the
+row that follows that symbol, and then its own context. A row is linked
+when it is built, to the built rows that follow it and from those that it
+follows, so the context rule runs once per visited row. The buffer covers
+one chunk of the input bits at a time and as many bits after it as the
+code's longest codeword has, and the output grows chunk by chunk, so
+decoding holds its input, its output and, per visited context row, about
+256 + h pointers for an alphabet of h symbols plus the sub-tables of
+codewords longer than 8 bits; IncrementalEncoder lets a caller encode in
+chunks the same way. There is one decode loop; the table codec and the GA
+codes of adacode.ga supply only their context rule, a cache of their rows
+and one callback for a context not in it, which also words their errors.
+Only decoding and adacode.ga.ga_encode run a loop per symbol.
 """
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import Callable, Iterable
 
 # the errors live in core, so that the CLI can catch them without this module
@@ -55,61 +59,43 @@ def prefix_predicate(table: CodeTable) -> bool:
         return ok
 
 
-class _Rows(dict):
-    """An encoder's rows, keyed by a context window's byte values: each is a
-    dict from byte value to codeword, built on its window's first lookup and
-    kept. A window without a row gets an empty dict that is not kept, so a
-    failed feed stores nothing for the windows of bytes it never encoded."""
-
-    def __init__(self, table: CodeTable):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, window: tuple[int, ...]) -> dict[int, str]:
-        alphabet = self.table.alphabet
-        words = self.table.rows.get(tuple(map(alphabet._index.get, window)))
-        if words is None:
-            return {}
-        row = self[window] = dict(zip(alphabet.symbols, words))
-        return row
-
-
 class IncrementalEncoder:
     """Streaming encoder. Feeding data in chunks yields exactly the bits of
     one-shot encoding, since only the trailing window carries between calls.
-    Each codeword is a lookup keyed by its context window and its symbol, as
-    byte values, in rows that the encoder builds on a window's first use."""
+    Each codeword is read straight from the table's rows, keyed by its
+    context window of symbol indices; the encoder holds no other state."""
 
     def __init__(self, table: CodeTable):
         self._table = table
-        self._rows = _Rows(table)
+        # byte value -> symbol index; a byte outside the alphabet maps to the
+        # alphabet size h, which no row and no context holds
+        index, h = table.alphabet._index, table.alphabet.size
+        self._indices = bytes(index.get(v, h) for v in range(256))
         self._tail = b""
         self._position = 0
 
     def feed(self, data: bytes) -> str:
-        order, rows = self._table.order, self._rows
+        order, rows = self._table.order, self._table.rows
         buf = self._tail + data
         start, n = len(self._tail), len(buf)
-        view = memoryview(buf)
-        # the codeword of buf[i], i >= start, is words[i - start]; None if it has none
-        words = [rows[tuple(view[:i])].get(buf[i]) for i in range(start, min(order, n))]
-        # position i >= order has the window view[i - order : i]
-        windows = zip(*(view[k : k + max(0, n - order)] for k in range(order)))
-        words += map(dict.get, map(rows.__getitem__, windows), view[order:])
+        idx = memoryview(buf.translate(self._indices))
+        words: list[str] = []  # the codeword of buf[i], i >= start, is words[i - start]
         try:
-            bits = "".join(words)
-        except TypeError:  # join met a None: a symbol without a codeword
-            i = start + words.index(None)
+            words += (rows[tuple(idx[:i])][idx[i]] for i in range(start, min(order, n)))
+            # position i >= order has the window idx[i - order : i]
+            windows = zip(*(idx[k : k + max(0, n - order)] for k in range(order)))
+            words += map(getitem, map(rows.__getitem__, windows), idx[order:])
+        except (KeyError, IndexError):  # a missing row, or a byte outside the alphabet
+            i = start + len(words)  # words keeps what the lookups gave before the failure
             position = self._position + i - start + 1
-            index_of = self._table.alphabet.index_of
-            window = tuple(map(index_of, view[max(0, i - order) : i]))
+            window = idx[max(0, i - order) : i]
             try:
-                table_get(self._table, index_of(buf[i]), window)
+                table_get(self._table, self._table.alphabet.index_of(buf[i]), window)
             except TableError as exc:
                 raise EncodeError(f"{exc} (position {position})", position) from None
         self._position += n - start
         self._tail = buf[-order:]
-        return bits
+        return "".join(words)
 
 
 def encode(table: CodeTable, data: bytes) -> str:
@@ -130,7 +116,8 @@ _CHUNK = 1 << 13  # payload bytes per window buffer of the decode loop
 def _code(row: Iterable[tuple[tuple, str]], slots: int, depth: int = 0, width: int = 8) -> list:
     """A prefix-code row's (cell, codeword) pairs as a decode table of
     2 ** width entries, indexed by the width bits from bit depth on, then
-    slots successor slots that start as None. A cell is an immutable tuple
+    slots entries that start as None, for the caller's successor slots and
+    the row's context. A cell is an immutable tuple
     (byte value, length, index of its successor slot) that rows may share;
     a codeword that ends within the width fills the entries that start with
     it with its cell. Longer ones go on through a sub-table entry
@@ -176,30 +163,26 @@ def _greedy_decode(
     max_symbols: int | None,
     context: Callable[[int, memoryview], object],
     codes: dict,
-    missing: Callable[[object, int, int], tuple[bytes, list]],
+    missing: Callable[[object, int, int], list],
     lookahead: int,
-    fixed_window: bool = False,
 ) -> DecodeTrace:
     """The greedy decode loop behind decode() and ga_decode(). The context of
     the symbol at 1-based position p is named by context(p, prior) from a
     read-only view of the p-1 bytes decoded before it; a result that is bytes,
     or a one-dimensional 'B' memoryview, is looked up by its bytes. codes
-    maps a context's bytes to its decode table (see _code); a result that is
-    not a key goes to missing(result, p, cursor), which returns the bytes of
-    the context it names and its decode table, or raises a DecodeError that
-    carries that context and the position p. The bits are decoded _CHUNK
-    bytes at a time: windows[i] is the 8 bits from bit base + i, zeros past
-    the end, for the chunk and the lookahead bits after it, which number the
-    length of the longest codeword, so every codeword that starts in the
-    chunk is read whole. The output grows by at most one byte per bit of
-    each chunk. The next symbol's table is the one in the slot that the
-    last cell names; an empty slot sends the loop to the context rule. With
-    fixed_window, the context follows from the last row and symbol, so the
-    loop stores the table it finds in that slot of the last row, whose key
-    is the context of the position before; otherwise every slot stays
-    empty. Every DecodeError raised once decoding has started names the
-    position and the context of the symbol being decoded, and its global
-    bit offset."""
+    maps a context's bytes to its decode table (see _code), whose last entry
+    is those bytes; a result that is not a key goes to missing(result, p,
+    cursor), which returns the decode table of the context it names, or
+    raises a DecodeError that carries that context and the position p. The
+    bits are decoded _CHUNK bytes at a time: windows[i] is the 8 bits from
+    bit base + i, zeros past the end, for the chunk and the lookahead bits
+    after it, which number the length of the longest codeword, so every
+    codeword that starts in the chunk is read whole. The output grows by at
+    most one byte per bit of each chunk. The next symbol's table is the one
+    in the slot that the last cell names; an empty slot sends the loop to
+    the context rule. Every DecodeError raised once decoding has started
+    names the position and the context of the symbol being decoded, and its
+    global bit offset."""
     if isinstance(bits, str):
         if not is_bits(bits):
             raise DecodeError("bit sequence must contain only 0 and 1")
@@ -213,7 +196,7 @@ def _greedy_decode(
     out = bytearray()
     view = memoryview(out).toreadonly()
     base = cursor = count = 0  # cursor counts bits from base, a multiple of 8
-    code = cell = None
+    code, cell = [None], _MISS  # the first symbol's slot is empty
     while True:
         end = total - base
         stop = min(end, 8 * _CHUNK)  # a codeword that starts before stop is decoded here
@@ -237,6 +220,7 @@ def _greedy_decode(
                 out = out + bytes(room - len(out))
             view = memoryview(out).toreadonly()
         while count < limit and cursor < stop:
+            code = code[cell[2]]  # not after the symbol: an error names the row it failed in
             if code is None:
                 ctx = context(count + 1, view[:count])
                 # views of a bytearray cannot be hashed
@@ -244,9 +228,7 @@ def _greedy_decode(
                     ctx = ctx.tobytes()
                 code = codes.get(ctx) if type(ctx) is bytes else None
                 if code is None:
-                    ctx, code = missing(ctx, count + 1, base + cursor)
-                if fixed_window and count:  # fill the slot of the row before
-                    codes[context(count, view[: count - 1])][cell[2]] = code
+                    code = missing(ctx, count + 1, base + cursor)
             cell = code[windows[cursor]]
             if not cell[1]:
                 cell = _descend(code, windows, cursor, end)
@@ -256,7 +238,6 @@ def _greedy_decode(
             out[count] = cell[0]
             count += 1
             cursor += cell[1]
-            code = code[cell[2]]
         else:
             if count < limit and cursor < end:  # the next codeword starts past stop
                 base += cursor & ~7
@@ -268,11 +249,9 @@ def _greedy_decode(
             cursor -= cell[1]
             cell = True  # the last codeword runs past the end
         break  # on to the error
-    if fixed_window:  # a filled slot leaves ctx stale
-        ctx = context(count + 1, view[:count])
     kind = "truncated input" if cell else "undecodable"
     cursor += base
-    raise DecodeError(f"{kind} at bit offset {cursor}", cursor, count + 1, ctx)
+    raise DecodeError(f"{kind} at bit offset {cursor}", cursor, count + 1, code[-1])
 
 
 def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) -> DecodeTrace:
@@ -291,22 +270,33 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
 
     codes: dict[bytes, list] = {}
     cells: dict[tuple, tuple] = {}  # one per (symbol, length), shared by the rows
-    values, slots = table.alphabet.symbols, range(256, 256 + table.alphabet.size)
+    order, alphabet = table.order, table.alphabet
+    slots = range(256, 256 + alphabet.size)
+    heads = [bytes((v,)) for v in alphabet.symbols]
 
-    def missing(window: bytes, position: int, cursor: int) -> tuple[bytes, list]:
-        ctx = tuple(map(table.alphabet.index_of, window))
+    def missing(window: bytes, position: int, cursor: int) -> list:
+        ctx = tuple(map(alphabet.index_of, window))
         if ctx not in table.rows:
-            name = f"'{format_context(table.alphabet, ctx)}' at bit offset {cursor}"
+            name = f"'{format_context(alphabet, ctx)}' at bit offset {cursor}"
             raise DecodeError(f"no codeword row for context {name}", cursor, position, window)
         words = table.rows[ctx]
-        keys = list(zip(values, map(len, words), slots))
-        code = codes[window] = _code(zip(map(cells.setdefault, keys, keys), words), len(slots))
-        return window, code
+        keys = list(zip(alphabet.symbols, map(len, words), slots))
+        code = codes[window] = _code(zip(map(cells.setdefault, keys, keys), words), len(slots) + 1)
+        # link the row once: it takes the built rows that follow it, then its
+        # key, in place (a list that grows keeps spare room), and the built
+        # rows that it follows take it
+        stem = window[1:] if len(window) == order else window
+        code[256:] = [codes.get(stem + v) for v in heads] + [window]
+        if window:
+            stem = window[:-1]
+            before = [stem, *(v + stem for v in heads)] if len(window) == order else [stem]
+            for key in before:
+                if key in codes:
+                    codes[key][256 + ctx[-1]] = code
+        return code
 
     try:
-        return _greedy_decode(
-            bits, max_symbols, _window(table.order), codes, missing, table._longest, True
-        )
+        return _greedy_decode(bits, max_symbols, _window(order), codes, missing, table._longest)
     finally:  # rows refer to each other through their successor slots
         for code in codes.values():
             code.clear()

@@ -100,9 +100,10 @@ class GACode(Record):
     # _cells and _codes are built once per code, never written after: per
     # context within the rule's bound, keyed by its bytes, the encoder row
     # (symbol -> codeword) and, if the row is a prefix code, its _code, whose
-    # cells the rows share and whose one successor slot stays None, since a
-    # rule's context need not follow from the row and the symbol; _longest
-    # is the length of the longest codeword
+    # cells the rows share, whose one successor slot stays None, since a
+    # rule's context need not follow from the row and the symbol, and whose
+    # last entry is the context's bytes; _longest is the length of the
+    # longest codeword
     __slots__ = ("function", "lookup", "_cells", "_codes", "_longest")
     _fields = ("function", "lookup")
 
@@ -136,7 +137,7 @@ class GACode(Record):
             # r.values() keeps a repeated codeword, so such a row is not a prefix code
             if is_prefix_code(r.values()):
                 keys = [(v, len(w), 256) for v, w in r.items()]
-                codes[c] = _code(zip(map(cells.setdefault, keys, keys), r.values()), 1)
+                codes[c] = _code(zip(map(cells.setdefault, keys, keys), r.values()), 1) + [c]
         super().__init__(function, normalized)
         object.__setattr__(self, "_cells", rows)
         object.__setattr__(self, "_codes", codes)
@@ -184,10 +185,10 @@ def ga_decode(code: GACode, bits: str | bytes) -> bytes:
     bits each, most significant first. Rows are checked once per code; one
     that is not a prefix code raises only when decoding visits its context."""
 
-    def missing(raw: object, position: int, cursor: int) -> tuple[bytes, list]:
+    def missing(raw: object, position: int, cursor: int) -> list:
         ctx = bytes(code.function._context(raw, position))
         if ctx in code._codes:
-            return ctx, code._codes[ctx]
+            return code._codes[ctx]
         name = format_context(_BYTE_VALUES, ctx)
         if ctx in code._cells:
             raise DecodeError(f"non-prefix row at visited context '{name}'", None, position, ctx)

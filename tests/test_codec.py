@@ -106,8 +106,8 @@ def test_encode_missing_row():
         encode(partial, b"ab")
     assert info.value.position == 2
 
-    # a kept encoder reaches the missing row through cached successor cells
-    # the second time, and must still name the row's own context
+    # a kept encoder fails the same way the second time, and names the
+    # row's own context
     partial = CodeTable(alphabet_from_bytes(b"ab"), 1, {(): ("0", "1"), (0,): ("0", "1")})
     encoder = IncrementalEncoder(partial)
     for _ in range(2):
@@ -115,17 +115,33 @@ def test_encode_missing_row():
             encoder.feed(b"abb")
 
 
-def test_encoder_keeps_only_the_rows_it_visits():
-    # no row is built before its window is reached, and a failed feed keeps
-    # none for the windows of bytes outside the alphabet after the failure
+def _wide_order2_text() -> tuple[CodeTable, bytes]:
+    """A random total order-2 table over 32 symbols and 8 Ki symbols of
+    text, which visit 1,026 of its 1,057 rows."""
+    rng = random.Random(5)
+    table = random_table(rng, 2, 32)
+    return table, random_string(rng, table.alphabet, 1 << 13)
+
+
+def test_encoder_holds_no_rows_of_its_own():
+    # a feed holds its chunk's words, indices and bits, whatever the number
+    # of rows it visits, and a failed feed changes no later feed
+    table, data = _wide_order2_text()
+    bits = encode(table, data)
+    peak = _traced_peak(lambda: IncrementalEncoder(table).feed(data))
+    assert peak < 16 * len(data) + 2 * len(bits)
     t = random_table(random.Random(3), 2, 4)
     a, b = t.alphabet.symbols[:2]
     outside = bytes(v for v in range(256) if v not in t.alphabet)
-    enc = IncrementalEncoder(t)
-    assert enc.feed(bytes([a, a, b])) == encode(t, bytes([a, a, b]))
+    enc, fresh = IncrementalEncoder(t), IncrementalEncoder(t)
+    assert enc.feed(bytes([a, a, b])) == fresh.feed(bytes([a, a, b]))
     with pytest.raises(EncodeError, match=r"not in alphabet \(position 5\)$"):
         enc.feed(bytes([a]) + outside)
-    assert set(enc._rows) == {(), (a,), (a, a), (a, b), (b, a)}
+    after = bytes([b, a, a, b, b, a])
+    assert enc.feed(after) == fresh.feed(after)
+    for encoder in (enc, fresh):
+        with pytest.raises(EncodeError, match=r"not in alphabet \(position 11\)$"):
+            encoder.feed(bytes([a]) + outside)
 
 
 def test_incremental_matches_batch():
@@ -618,3 +634,60 @@ def test_decode_memory_per_visited_row():
     assert peak < 8 * len(payload) + 2 * len(data) + 3 * 1024 * rows
     code = GACode(order_n_function(2), lookup_from_table(table))
     assert ga_decode(code, bits) == decode(table, payload, len(data)).output == data
+
+
+def test_decode_runs_its_window_rule_once_per_visited_row(monkeypatch):
+    # a row is linked to its built neighbours when it is built, so the rule
+    # runs only to name a row that is not built yet
+    table, data = _wide_order2_text()
+    rows = len({data[max(0, i - 2) : i] for i in range(len(data))})
+    calls = []
+    window = codec._window
+
+    def counted(order):
+        rule = window(order)
+        return lambda position, prior: calls.append(position) or rule(position, prior)
+
+    monkeypatch.setattr(codec, "_window", counted)
+    assert decode(table, encode(table, data)).output == data
+    assert len(calls) == rows == 1026
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 5), st.booleans(), st.integers(0, 2**32))
+def test_decode_links_rows_on_long_inputs(order, size, partial, seed):
+    # thousands of symbols that cross the first 8 KiB window buffer, over
+    # rows built in the order the text first reaches them, decode as the
+    # scan oracle does, also with a bit flipped or cut past the boundary and,
+    # for a partial table, when the text runs into a missing row at the end
+    rng = random.Random(seed)
+    table = random_table(rng, order, size)
+    # stretched words stay a prefix code, and at most 28 bits long they
+    # leave more than 2 Ki symbols before the boundary
+    rows = {
+        ctx: tuple(word + "".join(rng.choices("01", k=rng.randint(0, 24))) for word in row)
+        for ctx, row in table.rows.items()
+    }
+    full = CodeTable(table.alphabet, order, rows)
+    # a context that ends with z is never dropped, so the walk can always go on
+    z = rng.randrange(size)
+    dropped = {c for c in rows if partial and c[-1:] not in ((), (z,)) and rng.random() < 0.25}
+    kept = {c: r for c, r in rows.items() if c not in dropped}
+    part = CodeTable(table.alphabet, order, kept)
+    boundary = 8 * codec._CHUNK
+    window, text, n, end = (), [], 0, boundary + rng.randint(0, 2048)
+    while n <= end:
+        s = rng.choice([s for s in range(size) if (window + (s,))[-order:] in kept])
+        n += len(rows[window][s])
+        text.append(s)
+        window = (window + (s,))[-order:]
+    exits = [s for s in range(size) if (window + (s,))[-order:] not in kept]
+    if exits:  # into a missing row, which the next symbol needs
+        text += [rng.choice(exits), 0]
+    assert len(text) >= 2048
+    bits = encode(full, table.alphabet.to_bytes(text))
+    flip = rng.randrange(boundary - 64, len(bits))
+    cut = rng.randrange(boundary, len(bits))
+    payloads = [bits, bits[:flip] + "10"[int(bits[flip])] + bits[flip + 1 :], bits[:cut]]
+    for payload in payloads:
+        assert _decode_outcome(part, payload) == _oracle_outcome(part, payload)
