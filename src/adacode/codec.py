@@ -6,24 +6,25 @@ chunk becomes symbol indices in one translate, and each position's codeword
 is rows[window][index], looked up at C level over the shifted slices of the
 indices. The encoder keeps no per-context state. Decoding is greedy:
 because every context row it visits is a prefix code, at most one codeword
-can match the next bits. As in zlib's inflate, each row is built once into
-a table of 256 entries indexed by the next 8 bits, read from a buffer of
-every bit offset's window byte, and longer codewords go on through
-sub-tables. Each entry holds an immutable cell (byte value, length,
-successor slot), one per symbol and length, that all rows share. After its
-256 entries a row has one slot per symbol of the alphabet, which holds the
-row that follows that symbol, and then its own context. A row is linked
-when it is built, to the built rows that follow it and from those that it
-follows, so the context rule runs once per visited row. The buffer covers
-one chunk of the input bits at a time and as many bits after it as the
-code's longest codeword has, and the output grows chunk by chunk, so
-decoding holds its input, its output and, per visited context row, about
-256 + h pointers for an alphabet of h symbols plus the sub-tables of
-codewords longer than 8 bits; IncrementalEncoder lets a caller encode in
-chunks the same way. There is one decode loop; the table codec and the GA
-codes of adacode.ga supply only their context rule, a cache of their rows
-and one callback for a context not in it, which also words their errors.
-Only decoding and adacode.ga.ga_encode run a loop per symbol.
+can match the next bits. Each row is built once into a table of 256
+entries indexed by the next 8 bits, read from a buffer of every bit
+offset's window byte. Each entry holds an immutable cell (byte value,
+length, successor slot), one per symbol and length, that all rows share;
+the codewords longer than 8 bits that share a first byte share one entry
+instead, a flat group that is compared word by word with the bits that
+follow. After its 256 entries a row has one slot per symbol of the
+alphabet, which holds the row that follows that symbol, and then its own
+context. A row is linked when it is built, to the built rows that follow
+it and from those that it follows, so the context rule runs once per
+visited row. The buffer covers one chunk of the input bits at a time and
+as many bits after it as the code's longest codeword has, and the output
+grows chunk by chunk, so decoding holds its input, its output and, per
+visited context row, at most 256 + 3h + 1 entries for an alphabet of h
+symbols, whatever the codeword lengths; IncrementalEncoder lets a caller
+encode in chunks the same way. There is one decode loop; the table codec
+and the GA codes of adacode.ga supply only their context rule, a cache of
+their rows and one callback for a context not in it, which also words
+their errors. Only decoding and adacode.ga.ga_encode run a loop per symbol.
 """
 
 from __future__ import annotations
@@ -113,49 +114,50 @@ _MISS = (None, 0, 0)  # the entry of bits that begin no codeword
 _CHUNK = 1 << 13  # payload bytes per window buffer of the decode loop
 
 
-def _code(row: Iterable[tuple[tuple, str]], slots: int, depth: int = 0, width: int = 8) -> list:
-    """A prefix-code row's (cell, codeword) pairs as a decode table of
-    2 ** width entries, indexed by the width bits from bit depth on, then
-    slots entries that start as None, for the caller's successor slots and
-    the row's context. A cell is an immutable tuple
-    (byte value, length, index of its successor slot) that rows may share;
-    a codeword that ends within the width fills the entries that start with
-    it with its cell. Longer ones go on through a sub-table entry
-    (sub-table, 0, 8 - k) of k <= 8 bits, as in zlib's inflate; the rest
-    are _MISS. Every leaf has a length, every other entry length 0."""
-    table = [_MISS] * (1 << width) + [None] * slots
+def _code(row: Iterable[tuple[tuple, str]], slots: int, context: bytes) -> list:
+    """A prefix-code row's (cell, codeword) pairs as a decode table of 256
+    entries, indexed by the next 8 bits, then slots entries that start as
+    None, for the caller's successor slots, then the row's context. A cell
+    is an immutable tuple (byte value, length, index of its successor slot)
+    that rows may share; a codeword of at most 8 bits fills the entries that
+    start with it with its cell. All the longer codewords that share a first
+    byte go into one entry (group, 0, width): group is the flat tuple word,
+    cell, word, cell, ... of their codewords and cells, and width the length
+    of the longest. The rest are _MISS. Every leaf has a length, every other
+    entry length 0."""
+    table = [_MISS] * 256 + [None] * slots + [context]
     longer: dict[int, list] = {}
     for cell, word in row:
-        if len(word) - depth <= width:
-            span = 1 << (width - len(word) + depth)
-            start = int(word[depth:], 2) * span
+        if len(word) <= 8:
+            span = 1 << (8 - len(word))
+            start = int(word, 2) * span
             table[start : start + span] = [cell] * span
         else:
-            longer.setdefault(int(word[depth : depth + 8], 2), []).append((cell, word))
+            longer.setdefault(int(word[:8], 2), []).extend((word, cell))
     for index, group in longer.items():
-        k = min(8, max(len(word) for _, word in group) - depth - 8)
-        table[index] = (_code(group, 0, depth + 8, k), 0, 8 - k)
+        table[index] = (tuple(group), 0, max(map(len, group[::2])))
     return table
 
 
-def _descend(table: list, windows: bytearray, cursor: int, total: int) -> tuple | bool:
-    """The shared cell of the codeword at cursor, which a row's table reaches
-    through its sub-table entries (sub-table, 0, 8 - k), or on a miss
-    whether the bits left begin a longer codeword, as they do when a
-    sub-table is reached with none left. windows holds every bit of the
-    longest codeword that can start at cursor. The slot that the cell names
-    is in the row's own table, not in a sub-table."""
-    shift = 0
-    while cursor < total:
-        index = windows[cursor] >> shift
-        if table[index] is _MISS:
-            span = 1 << max(0, 8 - shift - total + cursor)
-            return total - cursor < 8 - shift and table[index : index + span] != [_MISS] * span
-        if table[index][1]:
-            return table[index]
-        table, _, shift = table[index]
-        cursor += 8
-    return True
+def _descend(table: list, windows: bytearray, cursor: int, end: int) -> tuple | bool:
+    """The shared cell of the codeword at cursor, whose first byte's entry
+    has length 0: the word of that byte's group (see _code) that the bits
+    from cursor on begin with, read from windows, which holds every bit of
+    the longest codeword that can start at cursor. On a miss, whether the
+    input is truncated: the end - cursor bits left are a proper prefix of a
+    codeword of the row."""
+    index = windows[cursor]
+    group, _, width = table[index]
+    if group is None:  # _MISS
+        span = 1 << max(0, 8 - end + cursor)
+        return end - cursor < 8 and table[index : index + span] != [_MISS] * span
+    piece = windows[cursor : cursor + width : 8]
+    bits = f"{int.from_bytes(piece, 'big'):0{8 * len(piece)}b}"
+    for i in range(0, len(group), 2):
+        if bits.startswith(group[i]):
+            return group[i + 1]
+    left = bits[: end - cursor]
+    return any(word.startswith(left) for word in group[::2])
 
 
 def _greedy_decode(
@@ -270,8 +272,7 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
 
     codes: dict[bytes, list] = {}
     cells: dict[tuple, tuple] = {}  # one per (symbol, length), shared by the rows
-    order, alphabet = table.order, table.alphabet
-    slots = range(256, 256 + alphabet.size)
+    order, alphabet, h = table.order, table.alphabet, table.alphabet.size
     heads = [bytes((v,)) for v in alphabet.symbols]
 
     def missing(window: bytes, position: int, cursor: int) -> list:
@@ -280,13 +281,12 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
             name = f"'{format_context(alphabet, ctx)}' at bit offset {cursor}"
             raise DecodeError(f"no codeword row for context {name}", cursor, position, window)
         words = table.rows[ctx]
-        keys = list(zip(alphabet.symbols, map(len, words), slots))
-        code = codes[window] = _code(zip(map(cells.setdefault, keys, keys), words), len(slots) + 1)
-        # link the row once: it takes the built rows that follow it, then its
-        # key, in place (a list that grows keeps spare room), and the built
-        # rows that it follows take it
+        keys = list(zip(alphabet.symbols, map(len, words), range(256, 256 + h)))
+        code = codes[window] = _code(zip(map(cells.setdefault, keys, keys), words), h, window)
+        # link the row once, in place (a list that grows keeps spare room): it
+        # takes the built rows that follow it, and the built rows it follows take it
         stem = window[1:] if len(window) == order else window
-        code[256:] = [codes.get(stem + v) for v in heads] + [window]
+        code[256:-1] = [codes.get(stem + v) for v in heads]
         if window:
             stem = window[:-1]
             before = [stem, *(v + stem for v in heads)] if len(window) == order else [stem]

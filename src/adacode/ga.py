@@ -137,7 +137,7 @@ class GACode(Record):
             # r.values() keeps a repeated codeword, so such a row is not a prefix code
             if is_prefix_code(r.values()):
                 keys = [(v, len(w), 256) for v, w in r.items()]
-                codes[c] = _code(zip(map(cells.setdefault, keys, keys), r.values()), 1) + [c]
+                codes[c] = _code(zip(map(cells.setdefault, keys, keys), r.values()), 1, c)
         super().__init__(function, normalized)
         object.__setattr__(self, "_cells", rows)
         object.__setattr__(self, "_codes", codes)
@@ -191,7 +191,7 @@ def ga_decode(code: GACode, bits: str | bytes) -> bytes:
             return code._codes[ctx]
         name = format_context(_BYTE_VALUES, ctx)
         if ctx in code._cells:
-            raise DecodeError(f"non-prefix row at visited context '{name}'", None, position, ctx)
+            raise DecodeError(f"non-prefix row at visited context '{name}'", cursor, position, ctx)
         message = f"no codewords for context '{name}' at bit offset {cursor}"
         raise DecodeError(message, cursor, position, ctx)
 

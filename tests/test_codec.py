@@ -373,6 +373,20 @@ def _stretched_prefix_rows(draw, size: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+@st.composite
+def _grouped_prefix_rows(draw, size: int) -> tuple[str, ...]:
+    """The words of _stretched_prefix_rows under a stem of 0 to 12 bits,
+    some stretched by up to 230 more random bits, so that one first byte
+    holds words of several lengths from 9 to 255 bits."""
+    stem = draw(st.text("01", max_size=12))
+    out = []
+    for word in draw(_stretched_prefix_rows(size)):
+        extra = draw(st.one_of(st.just(0), st.integers(1, 230)))
+        tail = bin(draw(st.integers(1 << extra, (2 << extra) - 1)))[3:]  # extra bits
+        out.append((stem + word + tail)[:255])
+    return tuple(out)
+
+
 def _decode_outcome(table: CodeTable, bits: str):
     try:
         return decode(table, bits).output
@@ -429,6 +443,36 @@ def test_decode_matches_the_scan_oracle_at_every_cut(draw):
                 assert outcomes[0] == outcomes[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_long_codeword_groups_decode_as_the_scan_oracle(draw):
+    # the clean payload, trailing bits, cuts and bit flips decode through the
+    # flat groups of long codewords, in decode and ga_decode alike, to the
+    # oracle's bytes or to its error kind, bit offset, position and context
+    data = draw.draw
+    size = data(st.integers(2, 5))
+    symbols = data(st.sets(st.integers(0, 255), min_size=size, max_size=size))
+    alphabet = Alphabet(tuple(sorted(symbols)))
+    rows = {ctx: data(_grouped_prefix_rows(size)) for ctx in iter_contexts(size, 1)}
+    table = CodeTable(alphabet, 1, rows)
+    code = GACode(order_n_function(1), lookup_from_table(table))
+    text = data(st.lists(st.sampled_from(alphabet.symbols), min_size=1, max_size=8).map(bytes))
+    bits = encode(table, text)
+    payloads = [bits, bits + data(st.text("01", min_size=1, max_size=9))]
+    for cut in data(st.lists(st.integers(0, len(bits) - 1), min_size=1, max_size=3)):
+        flip = "10"[int(bits[cut])]
+        # cut before a flipped bit, right after it, and not at all
+        payloads += [bits[:cut], bits[:cut] + flip, bits[:cut] + flip + bits[cut + 1 :]]
+    for payload in payloads:
+        expected = _oracle_outcome(table, payload)
+        assert _decode_outcome(table, payload) == expected
+        try:
+            got = ga_decode(code, payload)
+        except DecodeError as exc:
+            got = (str(exc), exc.bit_offset, exc.position, exc.context)
+        assert got == expected
+
+
 def test_roundtrip_random_tables_and_oracle():
     rng = random.Random(97)
     cases = []
@@ -444,22 +488,17 @@ def test_roundtrip_random_tables_and_oracle():
         table = random_table(rng, rng.randint(1, 2), rng.randint(6, 40))
         cases.append((table, random_string(rng, table.alphabet, rng.randint(0, 60))))
     for row in set(unary.rows.values()):
-        # the all-ones entry of each table leads to the next 8 bits, and the
-        # last sub-table holds only the 7 bits left of the 255-bit codewords;
-        # the top table ends in one successor slot per symbol
+        # the codewords of up to 8 bits fill their spans with leaf cells, and
+        # the 248 longer ones, all under the first byte 11111111, share one
+        # flat group of strings and cells, so no entry holds a list; the
+        # table ends in one successor slot per symbol and the row's context
         symbols = unary.alphabet.symbols
         cells = [(symbols[i], len(word), 256 + i) for i, word in enumerate(row)]
-        table = _code(zip(cells, row), 256)
-        assert table[256:] == [None] * 256
-        del table[256:]
-        sizes = []
-        while table is not None:
-            sizes.append(len(table))
-            # a sub-table entry is (sub-table, 0, 8 - k); a leaf cell has a length
-            sub, length, shift = table[-1]
-            assert length or len(sub) == 1 << (8 - shift)
-            table = None if length else sub
-        assert sizes == [256] * 31 + [128]
+        table = _code(zip(cells, row), 256, b"\x07")
+        assert table[256:] == [None] * 256 + [b"\x07"]
+        assert set(table[:255]) <= set(cells)
+        group = tuple(x for cell, word in zip(cells, row) if len(word) > 8 for x in (word, cell))
+        assert table[255] == (group, 0, 255) and len(group) == 2 * 248
     for table, w in cases:
         bits = encode(table, w)
         trace = decode(table, bits)
@@ -560,9 +599,9 @@ def test_decode_chunk_boundaries_change_no_result_or_error(monkeypatch, chunk):
 
 
 def test_decode_leaves_no_cyclic_garbage():
-    # rows link to their successors' rows through their slots, and to their
-    # sub-tables: decode breaks those links before it returns or raises, so
-    # that the garbage collector is not needed to free them
+    # rows link to their successors' rows through their slots: decode breaks
+    # those links before it returns or raises, so that the garbage collector
+    # is not needed to free them
     for size in (16, 32):
         rng = random.Random(29)
         table = random_table(rng, 2, size)
@@ -620,8 +659,9 @@ def test_decode_without_a_symbol_count_sizes_its_output_by_symbols():
 
 def test_decode_memory_per_visited_row():
     # a visited row holds its 256 window entries, one successor slot per
-    # symbol and the sub-tables of its longer codewords (about 2.6 KB here),
-    # while the cells of its codewords are shared with every other row
+    # symbol and one flat group per first byte of its longer codewords
+    # (about 2.5 KB here), while the cells of its codewords are shared with
+    # every other row
     rng = random.Random(41)
     table = random_table(rng, 2, 32)
     assert table._longest > 8
@@ -634,6 +674,19 @@ def test_decode_memory_per_visited_row():
     assert peak < 8 * len(payload) + 2 * len(data) + 3 * 1024 * rows
     code = GACode(order_n_function(2), lookup_from_table(table))
     assert ga_decode(code, bits) == decode(table, payload, len(data)).output == data
+
+
+@pytest.mark.parametrize("length", [16, 64, 255])
+def test_decode_memory_per_visited_row_of_long_codewords(length):
+    # every row of 256 symbols gives codeword i the 8 bits of i, then zeros:
+    # each first byte holds one long codeword, whose group costs the row a
+    # few tuples, however long the codeword is
+    words = tuple(f"{i:08b}".ljust(length, "0") for i in range(256))
+    table = CodeTable(Alphabet(tuple(range(256))), 1, dict.fromkeys(iter_contexts(256, 1), words))
+    data = b"\x01\x02\x03\x04"  # visits the rows of (), 1, 2 and 3
+    payload = pack_bits(encode(table, data)).data
+    peak = _traced_peak(lambda: decode(table, payload, len(data)))
+    assert peak < 64 * 1024 * len(data)
 
 
 def test_decode_runs_its_window_rule_once_per_visited_row(monkeypatch):

@@ -303,9 +303,9 @@ def test_decode_payload_reads_the_packed_payload():
 
 
 def test_long_codeword_cut_over_zero_padding_is_truncated():
-    """Past the end the decoder reads zeros, which follow a long codeword's
-    sub-tables by their 0 entries until one misses; the bits left are still
-    a proper prefix of that codeword, so the input is truncated."""
+    """Past the end the decoder reads zeros, which lead to the flat group
+    of the long codeword's first byte but do not match the codeword; the
+    bits left are still a proper prefix of it, so the input is truncated."""
     ab = alphabet_from_bytes(b"ab")
     for word in ("1" + "0" * 14 + "1", "1" + "0" * 38 + "1", "1" + "0" * 253 + "1"):
         t = CodeTable(ab, 1, {ctx: ("0", word) for ctx in iter_contexts(2, 1)})

@@ -202,7 +202,7 @@ def test_ga_decode_checks_rows_lazily():
     assert ga_decode(code, "01") == b"ab"
     with pytest.raises(DecodeError, match="non-prefix row at visited context 'b'") as err:
         ga_decode(code, "010")
-    assert (err.value.bit_offset, err.value.position, err.value.context) == (None, 3, b"b")
+    assert (err.value.bit_offset, err.value.position, err.value.context) == (2, 3, b"b")
 
 
 def test_ga_rows_are_built_once_per_code(monkeypatch):
@@ -489,7 +489,7 @@ def _reference_decode(function, lookup, bits):
             raise DecodeError(message, cursor, position, bytes(ctx))
         if not is_prefix_code(row.values()):
             message = f"non-prefix row at visited context '{name}'"
-            raise DecodeError(message, None, position, bytes(ctx))
+            raise DecodeError(message, cursor, position, bytes(ctx))
         hits = [(symbol, word) for symbol, word in row.items() if bits.startswith(word, cursor)]
         if not hits:
             kind = "undecodable"
