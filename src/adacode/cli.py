@@ -2,12 +2,10 @@
 per-context prefix property, and print analysis reports.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or parse errors,
-3 encode errors, 4 decode errors. Data and reports go to stdout,
-diagnostics to stderr. An input path of - reads standard input. Each
-command imports the codec, container and analysis layers inside its own
-function, only if it runs them, so that it starts faster. encode feeds the
-encoder _CHUNK symbols at a time and packs each chunk's bits into the
-container as it goes, so it never holds a codeword per symbol.
+3 encode errors, 4 decode or container errors. Data and reports go to
+stdout, diagnostics to stderr. An input path of - reads standard input.
+Each command imports the codec, container and analysis layers inside its
+own function, only if it runs them, so that it starts faster.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_ENCODE = 3
 EXIT_DECODE = 4
-_CHUNK = 1 << 14  # symbols per encoder feed: encode keeps one chunk's bits at a time
+_EXIT_CODES = {EncodeError: EXIT_ENCODE, DecodeError: EXIT_DECODE, ContainerError: EXIT_DECODE}
 
 
 def _read_input(path: str) -> bytes:
@@ -64,16 +62,16 @@ def _alphabet_literal(literal: str) -> bytes:
 
 def _refuse_both(args: argparse.Namespace, first: str, second: str) -> None:
     """Refuse two flags of which the second would be ignored."""
-    if getattr(args, first, None) is not None and getattr(args, second, None) is not None:
+    if getattr(args, first) is not None and getattr(args, second) is not None:
         message = f"--{first} and --{second} cannot be used together"
         raise AdaptiveCodeError(message.replace("_", "-"))
 
 
 def _resolve_alphabet(args: argparse.Namespace, fallback: bytes | None) -> Alphabet:
     _refuse_both(args, "alphabet", "from_corpus")
-    if getattr(args, "alphabet", None):
+    if args.alphabet:
         return alphabet_from_bytes(_alphabet_literal(args.alphabet))
-    if getattr(args, "from_corpus", None):
+    if args.from_corpus:
         return alphabet_from_bytes(_read_input(args.from_corpus))
     if fallback is not None:
         return alphabet_from_bytes(fallback)
@@ -93,7 +91,7 @@ def _read_table(path: str):
 def _resolve_table(args: argparse.Namespace, fallback: bytes | None):
     _refuse_both(args, "table", "alphabet")
     _refuse_both(args, "table", "from_corpus")
-    if getattr(args, "table", None):
+    if args.table:
         return _read_table(args.table)
     return build_order1(_resolve_alphabet(args, fallback))
 
@@ -107,18 +105,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    from .codec import IncrementalEncoder
-    from .container import _container_mode, _write_container
+    from .container import _encode_container
 
     data = _read_input(args.input)
-    table = _resolve_table(args, data)
-    try:  # refuse a table no container can store before encoding with it
-        mode = _container_mode(table)
-    except ContainerError as exc:
-        raise EncodeError(str(exc)) from exc
-    feed = IncrementalEncoder(table).feed
-    bits = (feed(data[i : i + _CHUNK]) for i in range(0, len(data), _CHUNK))
-    _write_bytes(args.out, _write_container(table, len(data), bits, mode))
+    _write_bytes(args.out, _encode_container(_resolve_table(args, data), data))
     return EXIT_OK
 
 
@@ -229,10 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str) -> None:
-    print(f"adacode: {message}", file=sys.stderr)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -241,15 +227,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except EncodeError as exc:
-        _fail(str(exc))
-        return EXIT_ENCODE
-    except (DecodeError, ContainerError) as exc:
-        _fail(str(exc))
-        return EXIT_DECODE
     except (AdaptiveCodeError, OSError) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
+        print(f"adacode: {exc}", file=sys.stderr)
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

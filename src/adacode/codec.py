@@ -83,9 +83,9 @@ class IncrementalEncoder:
         words: list[str] = []  # the codeword of buf[i], i >= start, is words[i - start]
         try:
             words += (rows[tuple(idx[:i])][idx[i]] for i in range(start, min(order, n)))
-            # position i >= order has the window idx[i - order : i]
-            windows = zip(*(idx[k : k + max(0, n - order)] for k in range(order)))
-            words += map(getitem, map(rows.__getitem__, windows), idx[order:])
+            if n > order:  # position i >= order has the window idx[i - order : i]
+                windows = zip(*(idx[k : k + n - order] for k in range(order)))
+                words += map(getitem, map(rows.__getitem__, windows), idx[order:])
         except (KeyError, IndexError):  # a missing row, or a byte outside the alphabet
             i = start + len(words)  # words keeps what the lookups gave before the failure
             position = self._position + i - start + 1
@@ -150,7 +150,7 @@ def _descend(table: list, windows: bytearray, cursor: int, end: int) -> tuple | 
     group, _, width = table[index]
     if group is None:  # _MISS
         span = 1 << max(0, 8 - end + cursor)
-        return end - cursor < 8 and table[index : index + span] != [_MISS] * span
+        return table[index : index + span] != [_MISS] * span
     piece = windows[cursor : cursor + width : 8]
     bits = f"{int.from_bytes(piece, 'big'):0{8 * len(piece)}b}"
     for i in range(0, len(group), 2):

@@ -35,6 +35,10 @@ byte and bits once, and rows share the resulting strings. The payload
 length in bits is not stored: the reader decodes exactly s symbols and
 treats leftover bits as padding, which must be fewer than 8 and all zero.
 
+A stream goes one way through _encode_container, which feeds the encoder
+_CHUNK symbols at a time and packs each chunk's bits as it goes, so that it
+never holds a codeword per symbol, and back through _decode_container.
+
 The table text format is three whitespace-separated fields per line after
 two header lines:
 
@@ -58,7 +62,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .builder import build_order1
-from .codec import decode
+from .codec import IncrementalEncoder, decode
 from .core import (
     AdaptiveCodeError,
     Alphabet,
@@ -66,6 +70,7 @@ from .core import (
     Codeword,
     ContainerError,
     Context,
+    EncodeError,
     Record,
     TableError,
     _context_count,
@@ -87,6 +92,7 @@ _TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 _FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _BLOCK = 1 << 14  # characters of table text split into lines at a time
+_CHUNK = 1 << 14  # symbols per encoder feed: encoding keeps one chunk's bits at a time
 
 
 class PackedBits(Record):
@@ -188,16 +194,16 @@ def write_container(
     (mode 0x02) when every row is canonical, else codeword by codeword.
     """
     _check_symbol_count(symbol_count)
-    mode = _container_mode(table, builder_mode)
-    return bytes(_write_container(table, symbol_count, (payload_bits,), mode))
+    return bytes(_write_container(table, symbol_count, (payload_bits,), builder_mode))
 
 
 def _write_container(
-    table: CodeTable, symbol_count: int, payload: Iterable[str], mode: int
+    table: CodeTable, symbol_count: int, payload: Iterable[str], builder_mode: bool | None = None
 ) -> bytearray:
-    """write_container for a mode that _container_mode gave for this table,
-    of a payload given as consecutive pieces of its bits, which are packed
-    as they come."""
+    """write_container of a payload given as consecutive pieces of its bits,
+    which are packed as they come. The mode is chosen, or the table refused,
+    before the first piece is read."""
+    mode = _container_mode(table, builder_mode)
     h = table.alphabet.size
     out = bytearray()
     out += MAGIC
@@ -222,6 +228,18 @@ def _write_container(
     for piece in _pack(payload):
         out += piece
     return out
+
+
+def _encode_container(table: CodeTable, data: bytes) -> bytearray:
+    """The container of data encoded with table, the mirror of
+    _decode_container. A table that no container can store is an
+    EncodeError before any symbol is encoded."""
+    feed = IncrementalEncoder(table).feed
+    bits = (feed(data[i : i + _CHUNK]) for i in range(0, len(data), _CHUNK))
+    try:
+        return _write_container(table, len(data), bits)
+    except ContainerError as exc:
+        raise EncodeError(str(exc)) from exc
 
 
 def read_container(data: bytes) -> ContainerContent:

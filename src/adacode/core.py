@@ -190,9 +190,9 @@ def iter_contexts(alphabet_size: int, order: int) -> Iterator[Context]:
         yield from product(range(alphabet_size), repeat=length)
 
 
-def _context_count(alphabet_size: int, order: int) -> int:
-    """How many contexts iter_contexts yields."""
-    return sum(alphabet_size**k for k in range(order + 1))
+def _context_count(h: int, order: int) -> int:
+    """How many contexts iter_contexts(h, order) yields: the sum of h**k for k = 0..order."""
+    return order + 1 if h == 1 else (h ** (order + 1) - 1) // (h - 1)
 
 
 def _pack_bits(bits: str) -> bytes:

@@ -25,7 +25,7 @@ from adacode import (
     table_to_text,
     write_container,
 )
-from adacode import cli, codec, container
+from adacode import codec, container
 from adacode.builder import build_order1
 from adacode.cli import main
 
@@ -205,10 +205,10 @@ def test_encode_partial_table_cannot_be_containerized(tmp_path, capsys):
 
 
 def test_encode_refuses_an_unstorable_table_before_encoding(tmp_path, monkeypatch, capsys):
-    def no_encode(table, data):
+    def no_feed(encoder, data):
         raise AssertionError("encode ran with a table no container can store")
 
-    monkeypatch.setattr(codec, "encode", no_encode)
+    monkeypatch.setattr(codec.IncrementalEncoder, "feed", no_feed)
     long_word = "1" + "0" * 255
     tables = [
         ("order 1\nalphabet ab\n~ a 0\n~ b 1\na a 0\na b 1\n", "explicit containers require a total table"),
@@ -220,11 +220,12 @@ def test_encode_refuses_an_unstorable_table_before_encoding(tmp_path, monkeypatc
     ]
     inp = tmp_path / "input"
     inp.write_bytes(b"aa")
-    table_file = tmp_path / "table.txt"
+    table_file, out = tmp_path / "table.txt", tmp_path / "out.adc"
     for text, message in tables:
         table_file.write_text(text)
-        assert main(["encode", str(inp), "--table", str(table_file)]) == 3
+        assert main(["encode", str(inp), "--table", str(table_file), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"adacode: {message}\n"
+        assert not out.exists()
 
 
 def test_encode_requires_table_choice(tmp_path, capsys):
@@ -653,7 +654,7 @@ def test_encode_chunk_boundaries(tmp_path, monkeypatch, capsys, chunk):
     # encode error has the text and position of a single-chunk run
     rng = random.Random(chunk)
     size = chunk << 10
-    monkeypatch.setattr(cli, "_CHUNK", size)
+    monkeypatch.setattr(container, "_CHUNK", size)
     source, table_file, out = tmp_path / "in", tmp_path / "t.txt", tmp_path / "out.adc"
     for order in (1, 2, 3):
         table = random_table(rng, order, 3)

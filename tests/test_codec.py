@@ -144,6 +144,21 @@ def test_encoder_holds_no_rows_of_its_own():
             encoder.feed(bytes([a]) + outside)
 
 
+def test_encoder_cost_does_not_grow_with_the_order():
+    # no position of a feed shorter than the order has a full window, so a
+    # feed builds no window slices
+    table = CodeTable(
+        alphabet_from_bytes(b"ab"), 100_000, {ctx: ("0", "1") for ctx in ((), (0,), (0, 0))}
+    )
+    assert _traced_peak(lambda: encode(table, b"a")) < 1 << 20
+
+    def three_feeds():
+        encoder = IncrementalEncoder(table)
+        assert [encoder.feed(b"a") for _ in range(3)] == ["0"] * 3
+
+    assert _traced_peak(three_feeds) < 1 << 20
+
+
 def test_incremental_matches_batch():
     t = build_order1(alphabet_from_bytes(b"abc"))
     w = b"abbbcabccaabccabbcba"

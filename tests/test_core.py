@@ -1,5 +1,7 @@
 """Alphabets, contexts, and table lookups."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,7 @@ from adacode import (
     table_get,
 )
 from adacode.builder import build_order1
-from adacode.core import is_bits
+from adacode.core import _context_count, is_bits
 
 from helpers import example_order2_table
 
@@ -146,6 +148,17 @@ def test_is_total():
         alphabet=alphabet_from_bytes(b"ab"), order=1, rows={(): ("0", "1")}
     )
     assert not partial.is_total()
+
+
+def test_context_count_is_the_number_of_contexts():
+    for h in range(1, 5):
+        for order in range(7):
+            assert _context_count(h, order) == sum(1 for _ in iter_contexts(h, order))
+    # the count is a closed form, not a sum over the orders
+    deep = CodeTable(alphabet_from_bytes(b"ab"), 100_000, {(): ("0", "1")})
+    start = time.perf_counter()
+    assert not deep.is_total()
+    assert time.perf_counter() - start < 1
 
 
 @given(st.binary(min_size=1, max_size=64))
