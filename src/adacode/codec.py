@@ -6,29 +6,33 @@ chunk becomes symbol indices in one translate, and each position's codeword
 is rows[window][index], looked up at C level over the shifted slices of the
 indices. The encoder keeps no per-context state. Decoding is greedy:
 because every context row it visits is a prefix code, at most one codeword
-can match the next bits. Each row is built once into a table of 256
-entries indexed by the next 8 bits, read from a buffer of every bit
-offset's window byte. Each entry holds an immutable cell (byte value,
-length, successor slot), one per symbol and length, that all rows share;
-the codewords longer than 8 bits that share a first byte share one entry
-instead, a flat group that is compared word by word with the bits that
-follow. After its 256 entries a row has one slot per symbol of the
-alphabet, which holds the row that follows that symbol, and then its own
-context. A row is linked when it is built, to the built rows that follow
-it and from those that it follows, so the context rule runs once per
-visited row. The buffer covers one chunk of the input bits at a time and
-as many bits after it as the code's longest codeword has, and the output
-grows chunk by chunk, so decoding holds its input, its output and, per
-visited context row, at most 256 + 3h + 1 entries for an alphabet of h
+can match the next bits. Each row it visits is built once, at a cost in
+proportion to its own codewords, into a table of 256 entries indexed by the
+next 8 bits, read from a buffer of every bit offset's window byte. Each
+entry holds an immutable cell (byte value, length, successor slot), from
+one dict per codeword length that all rows share; each distinct codeword's
+entries are computed once. The codewords longer than 8 bits that share a
+first byte share one entry, a flat group that is compared word by word with
+the bits that follow. After its 256 entries a row has one slot per symbol,
+which holds the row that follows that symbol, and then its own context.
+Built rows are grouped by stem, the window without its first symbol (a
+shorter window is its own stem): a group's rows have the same successors,
+so a new row copies them from a sibling, and fills its slot in each row of
+the group that its window extends by one symbol. So the context rule runs
+once per visited row. The buffer covers one chunk of the input bits at a
+time and as many bits after it as the code's longest codeword has, and the
+output grows chunk by chunk, so decoding holds its input, its output and,
+per visited context row, at most 256 + 3h + 1 entries for an alphabet of h
 symbols, whatever the codeword lengths; IncrementalEncoder lets a caller
 encode in chunks the same way. There is one decode loop; the table codec
 and the GA codes of adacode.ga supply only their context rule, a cache of
-their rows and one callback for a context not in it, which also words
-their errors. Only decoding and adacode.ga.ga_encode run a loop per symbol.
+their rows and one callback for a context not in it, which also words their
+errors. Only decoding and adacode.ga.ga_encode run a loop per symbol.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import getitem
 from typing import Callable, Iterable
 
@@ -114,7 +118,7 @@ _MISS = (None, 0, 0)  # the entry of bits that begin no codeword
 _CHUNK = 1 << 13  # payload bytes per window buffer of the decode loop
 
 
-def _code(row: Iterable[tuple[tuple, str]], slots: int, context: bytes) -> list:
+def _code(row: Iterable[tuple], slots: int, context: bytes, places: dict | None = None) -> list:
     """A prefix-code row's (cell, codeword) pairs as a decode table of 256
     entries, indexed by the next 8 bits, then slots entries that start as
     None, for the caller's successor slots, then the row's context. A cell
@@ -124,16 +128,22 @@ def _code(row: Iterable[tuple[tuple, str]], slots: int, context: bytes) -> list:
     byte go into one entry (group, 0, width): group is the flat tuple word,
     cell, word, cell, ... of their codewords and cells, and width the length
     of the longest. The rest are _MISS. Every leaf has a length, every other
-    entry length 0."""
-    table = [_MISS] * 256 + [None] * slots + [context]
+    entry length 0. places, a dict that rows may share, keeps the entries of
+    each codeword as one int: start << 9 | span, or ~first byte if longer."""
+    table = [_MISS] * (257 + slots)  # built at its size: a list that grows keeps spare room
+    table[256:] = [None] * slots + [context]
     longer: dict[int, list] = {}
+    places = {} if places is None else places
     for cell, word in row:
-        if len(word) <= 8:
-            span = 1 << (8 - len(word))
-            start = int(word, 2) * span
-            table[start : start + span] = [cell] * span
+        place = places.get(word)
+        if place is None:
+            n = 8 - len(word)
+            place = places[word] = int(word, 2) << n + 9 | 1 << n if n >= 0 else ~int(word[:8], 2)
+        if place < 0:
+            longer.setdefault(~place, []).extend((word, cell))
         else:
-            longer.setdefault(int(word[:8], 2), []).extend((word, cell))
+            start, span = place >> 9, place & 511
+            table[start : start + span] = [cell] * span
     for index, group in longer.items():
         table[index] = (tuple(group), 0, max(map(len, group[::2])))
     return table
@@ -271,7 +281,9 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
         raise DecodeError("table has a context row that is not a prefix code; decoding refused")
 
     codes: dict[bytes, list] = {}
-    cells: dict[tuple, tuple] = {}  # one per (symbol, length), shared by the rows
+    places: dict[str, int] = {}  # see _code
+    cells: dict[int, dict] = defaultdict(dict)  # length -> symbol index -> cell, shared
+    groups: dict[bytes, list] = {}  # stem -> the built rows whose successors are stem + v
     order, alphabet, h = table.order, table.alphabet, table.alphabet.size
     heads = [bytes((v,)) for v in alphabet.symbols]
 
@@ -281,18 +293,21 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
             name = f"'{format_context(alphabet, ctx)}' at bit offset {cursor}"
             raise DecodeError(f"no codeword row for context {name}", cursor, position, window)
         words = table.rows[ctx]
-        keys = list(zip(alphabet.symbols, map(len, words), range(256, 256 + h)))
-        code = codes[window] = _code(zip(map(cells.setdefault, keys, keys), words), h, window)
-        # link the row once, in place (a list that grows keeps spare room): it
-        # takes the built rows that follow it, and the built rows it follows take it
+        lengths = list(map(len, words))
+        try:  # a cell is made when a visited row first needs it
+            row = list(map(getitem, map(cells.__getitem__, lengths), range(h)))
+        except KeyError:
+            new = zip(alphabet.symbols, lengths, range(256, 256 + h))
+            row = list(map(dict.setdefault, map(cells.__getitem__, lengths), range(h), new))
+        code = codes[window] = _code(zip(row, words), h, window, places)
+        # link the row once, in place: it copies its successors from a sibling,
+        # or looks them up if it is the first, and the rows it follows take it
         stem = window[1:] if len(window) == order else window
-        code[256:-1] = [codes.get(stem + v) for v in heads]
-        if window:
-            stem = window[:-1]
-            before = [stem, *(v + stem for v in heads)] if len(window) == order else [stem]
-            for key in before:
-                if key in codes:
-                    codes[key][256 + ctx[-1]] = code
+        group = groups.setdefault(stem, [])
+        code[256:-1] = group[0][256:-1] if group else [codes.get(stem + v) for v in heads]
+        group.append(code)
+        for before in groups.get(window[:-1], ()) if window else ():
+            before[256 + ctx[-1]] = code
         return code
 
     try:

@@ -269,7 +269,10 @@ class CodeTable(Record):
 
     def is_total(self) -> bool:
         """True if every context up to the table's order has a row."""
-        return len(self.rows) == _context_count(self.alphabet.size, self.order)
+        # a total table has a row of each length 0..order, so a table with no
+        # more rows than its order is not, without computing h**(order + 1)
+        n = len(self.rows)
+        return n > self.order and n == _context_count(self.alphabet.size, self.order)
 
 
 def table_get(table: CodeTable, symbol: int, ctx: Sequence[int]) -> Codeword:

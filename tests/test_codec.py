@@ -721,6 +721,68 @@ def test_decode_runs_its_window_rule_once_per_visited_row(monkeypatch):
     assert len(calls) == rows == 1026
 
 
+def _link_faults(table: CodeTable, codes: dict, groups: dict) -> list:
+    """What breaks the link invariant of decode's built rows: a successor
+    slot that does not hold the built row of stem + symbol (None if that row
+    is not built), a row outside the group of its stem, and a short window t
+    of length order - 1 whose row is not in the group of the built rows
+    u + t. Rows refer to each other, so they are compared by identity."""
+    order, heads = table.order, [bytes((v,)) for v in table.alphabet.symbols]
+    members = {stem: set(map(id, group)) for stem, group in groups.items()}
+    faults = []
+    for window, code in codes.items():
+        stem = window[1:] if len(window) == order else window
+        faults += [(window, v) for i, v in enumerate(heads) if code[256 + i] is not codes.get(stem + v)]
+        if id(code) not in members.get(stem, ()):
+            faults.append((window, "not in its stem's group"))
+        if len(window) == order - 1 and any(u + window in codes for u in heads):
+            if id(code) not in members.get(window, ()):
+                faults.append((window, "not in the group of the rows u + t"))
+    return faults
+
+
+def test_decode_links_each_built_row_to_its_built_neighbours(monkeypatch):
+    # after the loop, and before decode clears its rows, every built row's
+    # successor slots hold exactly the built rows that follow it, over walks
+    # that run to the end or, in a partial table, into a missing row
+    rng = random.Random(37)
+    inner, checked = codec._greedy_decode, []
+
+    def inspected(bits, max_symbols, context, codes, missing, lookahead):
+        try:
+            return inner(bits, max_symbols, context, codes, missing, lookahead)
+        finally:
+            closure = dict(zip(missing.__code__.co_freevars, missing.__closure__))
+            groups = closure["groups"].cell_contents
+            checked.append((len(codes), _link_faults(decoded, codes, groups)))
+
+    monkeypatch.setattr(codec, "_greedy_decode", inspected)
+    wide, text = _wide_order2_text()
+    cases = [(wide, wide, text)]
+    for order, size in [(1, 2), (1, 32), (2, 2), (2, 5), (2, 16), (3, 2), (3, 3), (3, 6)]:
+        full = random_table(rng, order, size)
+        # every context that ends with symbol 0 is kept, so the walk goes on
+        kept = {c: r for c, r in full.rows.items() if c[-1:] in ((), (0,)) or rng.random() < 0.8}
+        part = CodeTable(full.alphabet, order, kept)
+        window, walk = (), []
+        for _ in range(3000):
+            s = rng.choice([s for s in range(size) if (window + (s,))[-order:] in kept])
+            walk.append(s)
+            window = (window + (s,))[-order:]
+        exits = [s for s in range(size) if (window + (s,))[-order:] not in kept]
+        if exits:  # into a missing row, which the next symbol needs
+            walk += [rng.choice(exits), 0]
+        data = full.alphabet.to_bytes(walk)
+        cases += [(full, full, data), (full, part, data)]
+    for encoded, decoded, data in cases:
+        try:
+            assert decode(decoded, encode(encoded, data)).output == data
+        except DecodeError:
+            assert decoded is not encoded and len(decoded.rows) < len(encoded.rows)
+    assert len(checked) == len(cases) and checked[0][0] == 1026
+    assert all(rows > 1 and faults == [] for rows, faults in checked)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.integers(2, 5), st.booleans(), st.integers(0, 2**32))
 def test_decode_links_rows_on_long_inputs(order, size, partial, seed):

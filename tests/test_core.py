@@ -14,6 +14,7 @@ from adacode import (
     format_context,
     format_symbol,
     iter_contexts,
+    table_from_text,
     table_get,
 )
 from adacode.builder import build_order1
@@ -148,6 +149,15 @@ def test_is_total():
         alphabet=alphabet_from_bytes(b"ab"), order=1, rows={(): ("0", "1")}
     )
     assert not partial.is_total()
+    # one row per context is total, whatever the order
+    one = CodeTable(alphabet_from_bytes(b"a"), 3, {(0,) * k: ("0",) for k in range(4)})
+    assert one.is_total() and not CodeTable(one.alphabet, 3, {(): ("0",)}).is_total()
+    # a total table has more rows than its order, so a table with no more
+    # answers without counting its h**(order + 1) contexts
+    deep = table_from_text("order 10000000\nalphabet abc\n~ a 0\n~ b 10\n~ c 11\n")
+    start = time.perf_counter()
+    assert not deep.is_total()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_context_count_is_the_number_of_contexts():
