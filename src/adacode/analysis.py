@@ -12,9 +12,10 @@ An order-1 coder spends one codeword per adjacent pair, so every adaptive
 figure comes from one count of adjacent pairs and the codeword lengths, with
 the transition part summed over distinct (predecessor, symbol) pairs. That
 count is made once, at C level: each fixed chunk of pairs is laid out as
-16-bit units and counted by Counter, so no tuple is built per pair and no
-copy of the string is made. compare_report derives the symbol counts of the
-Huffman figures from it too. A string the table cannot code raises the
+one byte per pair when the string has at most 16 distinct symbols, and as
+16-bit units otherwise, and counted by Counter, so no tuple is built per
+pair and no copy of the string is made. compare_report derives the symbol
+counts of the Huffman figures from it too. A string the table cannot code raises the
 encoder's positioned EncodeError.
 """
 
@@ -88,8 +89,8 @@ def eh_positions(w: bytes) -> frozenset[int]:
     return frozenset(compress(range(2, len(w) + 1), map(ne, w, w[1:])))
 
 
-# Pairs are counted in chunks of at most this many 16-bit units, so the
-# buffer stays at 64 KiB whatever the length of the string.
+# Pairs are counted in chunks of at most this many pairs, so the buffers
+# stay at 64 KiB whatever the length of the string.
 _PAIR_CHUNK = 1 << 15
 # byte offset of a unit's high byte, which holds the pair's first symbol
 _HIGH = int(sys.byteorder == "little")
@@ -98,12 +99,29 @@ _HIGH = int(sys.byteorder == "little")
 def _pair_counts(w: bytes) -> dict[tuple[int, int], int]:
     """How often each adjacent pair (a, b) occurs in the nonempty w.
 
-    Each chunk is written as units a * 256 + b into a fresh buffer by two
-    strided copies from views of w, and Counter counts the units at C level.
+    Over at most 16 distinct symbols, each chunk becomes 4-bit symbol
+    indices in one translate, read as one big int x, and byte i + 1 of
+    x >> 4 | x is the pair at i, index(a) << 4 | index(b). Over more, each
+    chunk is written as 16-bit units a * 256 + b into a fresh buffer by two
+    strided copies from views of w. Counter counts the bytes or units at C
+    level.
     """
-    view = memoryview(w)
+    view, seen = memoryview(w), set()  # seen: the distinct symbols, or the first 17
+    # 4 KiB at a time: over more than 16 symbols the first piece usually tells
+    for start in range(0, len(w), 4096):
+        seen.update(bytes(view[start : start + 4096]).translate(None, bytes(seen)))
+        if len(seen) > 16:
+            break
+    symbols = sorted(seen)
     counts: Counter = Counter()
-    for start in range(0, len(view) - 1, _PAIR_CHUNK):
+    if len(symbols) <= 16:
+        indices = bytes.maketrans(bytes(symbols), bytes(range(len(symbols))))
+        for start in range(0, len(w) - 1, _PAIR_CHUNK):
+            chunk = bytes(view[start : start + _PAIR_CHUNK + 1]).translate(indices)
+            x = int.from_bytes(chunk, "big")
+            counts.update((x >> 4 | x).to_bytes(len(chunk), "big")[1:])
+        return {(symbols[u >> 4], symbols[u & 15]): f for u, f in counts.items()}
+    for start in range(0, len(w) - 1, _PAIR_CHUNK):
         chunk = view[start : start + _PAIR_CHUNK + 1]
         units = bytearray(2 * len(chunk) - 2)
         units[_HIGH::2] = chunk[:-1]
@@ -272,13 +290,10 @@ def winner(r: AnalysisReport) -> str:
 
 def render_comparison(rows: Sequence[tuple[str, AnalysisReport]]) -> str:
     """Aligned text table with one row per input and a winner column."""
-    header = list(CSV_COLUMNS) + ["winner"]
-    body = [_csv_row(name, report) + [winner(report)] for name, report in rows]
-    widths = [max(map(len, column)) for column in zip(header, *body)]
-    lines = []
-    for row in [header] + body:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    grid = [[*CSV_COLUMNS, "winner"]]
+    grid += [_csv_row(name, report) + [winner(report)] for name, report in rows]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    return "".join("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in grid)
 
 
 def _positions_text(count: int, positions: Callable[[], frozenset[int]]) -> str:

@@ -2,9 +2,15 @@
 
 The codeword of each symbol depends only on the symbol and the window of up
 to `order` symbols before it, so encoding reads the table's own rows: a
-chunk becomes symbol indices in one translate, and each position's codeword
-is rows[window][index], looked up at C level over the shifted slices of the
-indices. The encoder keeps no per-context state. Decoding is greedy:
+chunk becomes symbol indices in one translate. A position with a full
+window of `order` symbols finds its row in a trie of the table's
+full-window rows, one dict per distinct proper prefix of a window keyed by
+symbol index, whose leaves are the rows themselves: the lookups of a chunk
+are chained C-level maps, one per window symbol, over shifted slices of the
+indices, so no window tuple is built or hashed per symbol. The first
+`order` positions, whose windows are shorter, look their rows up directly.
+Besides the trie, the encoder keeps only the last window it was fed.
+Decoding is greedy:
 because every context row it visits is a prefix code, at most one codeword
 can match the next bits. Each row it visits is built once, at a cost in
 proportion to its own codewords, into a table of 256 entries indexed by the
@@ -64,11 +70,18 @@ def prefix_predicate(table: CodeTable) -> bool:
         return ok
 
 
+_DEPTH = 32  # chained lookup levels of a feed before they are materialised
+
+
 class IncrementalEncoder:
     """Streaming encoder. Feeding data in chunks yields exactly the bits of
     one-shot encoding, since only the trailing window carries between calls.
-    Each codeword is read straight from the table's rows, keyed by its
-    context window of symbol indices; the encoder holds no other state."""
+    Each codeword is read straight from the table's rows: through a trie of
+    its full-window rows, built once per encoder, for a position with a
+    full window, and keyed by the shorter window otherwise. The trie holds
+    one dict per distinct proper prefix of a full window and the table's
+    own row tuples as its leaves, so it copies no row; the encoder holds no
+    other state."""
 
     def __init__(self, table: CodeTable):
         self._table = table
@@ -78,26 +91,41 @@ class IncrementalEncoder:
         self._indices = bytes(index.get(v, h) for v in range(256))
         self._tail = b""
         self._position = 0
+        self._trie: dict = {}
+        for ctx, row in table.rows.items():
+            if len(ctx) == table.order:
+                node = self._trie
+                for v in ctx[:-1]:
+                    node = node.setdefault(v, {})
+                node[ctx[-1]] = row
 
     def feed(self, data: bytes) -> str:
         order, rows = self._table.order, self._table.rows
         buf = self._tail + data
         start, n = len(self._tail), len(buf)
-        idx = memoryview(buf.translate(self._indices))
+        idx = buf.translate(self._indices)
         words: list[str] = []  # the codeword of buf[i], i >= start, is words[i - start]
         try:
             words += (rows[tuple(idx[:i])][idx[i]] for i in range(start, min(order, n)))
             if n > order:  # position i >= order has the window idx[i - order : i]
-                windows = zip(*(idx[k : k + n - order] for k in range(order)))
-                words += map(getitem, map(rows.__getitem__, windows), idx[order:])
+                m = n - order
+                level = map(self._trie.__getitem__, idx[:m])
+                for k in range(1, order + 1):
+                    if not k % _DEPTH:  # bounds the nesting of the maps and the live slices
+                        level = list(level)
+                    level = map(getitem, level, idx[k : k + m])
+                words += level
         except (KeyError, IndexError):  # a missing row, or a byte outside the alphabet
-            i = start + len(words)  # words keeps what the lookups gave before the failure
-            position = self._position + i - start + 1
-            window = idx[max(0, i - order) : i]
-            try:
-                table_get(self._table, self._table.alphabet.index_of(buf[i]), window)
-            except TableError as exc:
-                raise EncodeError(f"{exc} (position {position})", position) from None
+            # words keeps what the lookups gave before the failure, so the scan
+            # starts at the failing position, except after a failure in a
+            # materialised level, which leaves words at the first full window
+            alphabet = self._table.alphabet
+            for i in range(start + len(words), n):
+                try:
+                    table_get(self._table, alphabet.index_of(buf[i]), idx[max(0, i - order) : i])
+                except TableError as exc:
+                    position = self._position + i - start + 1
+                    raise EncodeError(f"{exc} (position {position})", position) from None
         self._position += n - start
         self._tail = buf[-order:]
         return "".join(words)

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -159,6 +160,50 @@ def test_encoder_cost_does_not_grow_with_the_order():
     assert _traced_peak(three_feeds) < 1 << 20
 
 
+def test_encoder_reaches_deep_orders():
+    # order 2,000 over ab with every all-a prefix row, whose codewords
+    # alternate with the window's length: a feed past the order chains 2,001
+    # lookup levels, materialised every 32, and matches the GA rule's bits
+    order, rows = 2000, {}
+    for n in range(order + 1):
+        rows[(0,) * n] = ("0", "1") if n % 2 else ("1", "0")
+    table = CodeTable(alphabet_from_bytes(b"ab"), order, rows)
+    data = b"a" * 2300 + b"b"
+    encoder = IncrementalEncoder(table)
+    bits = "".join(encoder.feed(data[i : i + 700]) for i in range(0, len(data), 700))
+    assert bits == "10" * 1000 + "1" * 300 + "0" == encode(table, data)
+    code = GACode(order_n_function(order), lookup_from_table(table))
+    assert ga_encode(code, data) == bits
+    assert decode(table, bits).output == data
+    # a feed holds at most 32 slices of its symbol indices at a time
+    encoder = IncrementalEncoder(table)
+    assert _traced_peak(lambda: encoder.feed(b"a" * 4000)) < 100 * 4000
+    # position 2,102 is the first whose window holds the b, in its last
+    # place; the windows of later positions hold it in a materialised level
+    with pytest.raises(EncodeError) as info:
+        encode(table, b"a" * 2100 + b"b" + b"a" * 2100)
+    context = "a" * 1999 + "b"
+    assert str(info.value) == f"no codeword for (symbol index 0, context '{context}') (position 2102)"
+    assert info.value.position == 2102
+
+
+def test_encoder_trie_is_bounded_by_the_rows_keys():
+    # a sparse order-64 table of 300 random full windows over abcd: the trie
+    # holds at most order - 1 dicts of its own per row, which in the deep
+    # levels hold one key each
+    rng = random.Random(64)
+    row, windows = ("0", "10", "110", "111"), set()
+    while len(windows) < 300:
+        windows.add(tuple(rng.choices(range(4), k=64)))
+    first = min(windows)  # with the rows of its prefixes, so that it can be encoded
+    rows = dict.fromkeys([first[:n] for n in range(64)] + sorted(windows), row)
+    table = CodeTable(alphabet_from_bytes(b"abcd"), 64, rows)
+    keys = sum(map(len, rows))
+    assert _traced_peak(lambda: IncrementalEncoder(table)) < 2 * sys.getsizeof({0: None}) * keys
+    w = table.alphabet.to_bytes(first + (3,))
+    assert decode(table, encode(table, w)).output == w
+
+
 def test_incremental_matches_batch():
     t = build_order1(alphabet_from_bytes(b"abc"))
     w = b"abbbcabccaabccabbcba"
@@ -197,20 +242,30 @@ def _scan_encode(table: CodeTable, w: bytes) -> str | tuple[str, int]:
     return "".join(out)
 
 
+def _windows(alphabet: Alphabet, order: int, w: bytes) -> set:
+    """The order-n context of every position of w, a string over alphabet."""
+    indices = tuple(map(alphabet.index_of, w))
+    return {indices[max(0, i - order) : i] for i in range(len(w))}
+
+
 def test_encoders_agree_on_random_tables():
     # encode, IncrementalEncoder fed in random chunks (often shorter than the
     # order) and ga_encode under the order-n rule give the same bits, or fail
-    # at the same position; the table encoders also with the same message
+    # at the same position; the table encoders also with the same message.
+    # Orders up to 8 take the encoder's trie eight levels deep.
     rng = random.Random(61)
     kinds = dict.fromkeys(("encoded", "outside head", "outside body", "missing row"), 0)
     for case in range(300):
-        order = rng.randint(1, 3)
-        table = random_table(rng, order, rng.randint(2, 4))
-        if case % 4 == 0:
-            dropped = rng.choice([ctx for ctx in table.rows if ctx])
+        order = rng.randint(1, 8)
+        # a total table of at most 511 rows
+        size = rng.randint(2, 4 if order < 4 else 3 if order < 6 else 2)
+        table = random_table(rng, order, size)
+        w = random_string(rng, table.alphabet, rng.randint(0, 40))
+        visited = sorted(ctx for ctx in _windows(table.alphabet, order, w) if ctx)
+        if case % 4 == 0 and visited:
+            dropped = rng.choice(visited)
             rows = {ctx: row for ctx, row in table.rows.items() if ctx != dropped}
             table = CodeTable(table.alphabet, order, rows)
-        w = random_string(rng, table.alphabet, rng.randint(0, 40))
         outside = bytes([rng.choice([v for v in range(256) if v not in table.alphabet])])
         if case % 3 == 0:
             # a byte outside the alphabet after a long run of cached contexts
@@ -242,6 +297,60 @@ def test_encoders_agree_on_random_tables():
         else:
             kinds["outside head" if expected[1] <= order else "outside body"] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def _faults(order: int) -> list[tuple[CodeTable, bytes, str]]:
+    """Four tables and strings whose encoding fails at position order + 2, with
+    a full window, and the message that names the failure: the window's row
+    missing from a dict of the trie that holds its sibling; no full window
+    that starts with the window's first order - 1 symbols, so that the trie
+    has no dict for them; a byte outside the alphabet that the windows of
+    the positions after it hold; and one that ends the string."""
+    alphabet = alphabet_from_bytes(b"abc")
+    if order == 3:
+        w = b"cabcab"
+        whole = CodeTable(alphabet, 3, dict.fromkeys(iter_contexts(3, 3), ("0", "10", "11")))
+    else:  # every context of a random string, whose windows all differ
+        w = random_string(random.Random(order), alphabet, 2 * order)
+        rows = dict.fromkeys(_windows(alphabet, order, w), ("0", "10", "11"))
+        whole = CodeTable(alphabet, order, rows)
+    at = order + 1  # the index of position order + 2
+    window = tuple(map(alphabet.index_of, w[at - order : at]))
+    sibling = window[:-1] + ((window[-1] + 1) % 3,)
+    rows = {ctx: row for ctx, row in whole.rows.items() if ctx != window}
+    last = CodeTable(alphabet, order, {**rows, sibling: ("0", "10", "11")})
+    rows = {ctx: row for ctx, row in rows.items() if len(ctx) < order or ctx[:-1] != window[:-1]}
+    inner = CodeTable(alphabet, order, rows)
+    missing = (
+        f"no codeword for (symbol index {alphabet.index_of(w[at])}, "
+        f"context '{w[at - order : at].decode()}') (position {at + 1})"
+    )
+    outside = f"symbol x not in alphabet (position {at + 1})"
+    return [
+        (last, w, missing),
+        (inner, w, missing),
+        (whole, w[:at] + b"x" + w[at:], outside),
+        (whole, w[:at] + b"x", outside),
+    ]
+
+
+@pytest.mark.parametrize("order", [3, 40])
+def test_encode_errors_name_the_first_failing_position(order):
+    # at order 40 a feed materialises its first 32 lookup levels, where the
+    # positions after a byte outside the alphabet fail before its own does
+    faults = _faults(order)
+    if order == 3:
+        missing = "no codeword for (symbol index 0, context 'abc') (position 5)"
+        assert [message for *_, message in faults] == [missing] * 2 + [
+            "symbol x not in alphabet (position 5)"
+        ] * 2
+    for table, w, message in faults:
+        expected = (message, order + 2)
+        assert _scan_encode(table, w) == expected
+        assert _bits_or_error(lambda: encode(table, w)) == expected
+        for cut in range(len(w) + 1):
+            encoder = IncrementalEncoder(table)
+            assert _bits_or_error(lambda: encoder.feed(w[:cut]) + encoder.feed(w[cut:])) == expected
 
 
 def test_decode_examples():
