@@ -26,7 +26,7 @@ import io
 import sys
 from collections import Counter
 from functools import cached_property
-from itertools import compress
+from itertools import compress, starmap
 from math import fsum, log2
 from operator import eq, ne
 from typing import Callable, Sequence
@@ -131,6 +131,7 @@ def _pair_counts(w: bytes) -> dict[tuple[int, int], int]:
 
 
 def _frequencies(w: bytes) -> list[tuple[int, int]]:
+    _require_nonempty(w)
     return sorted(Counter(w).items())
 
 
@@ -140,14 +141,12 @@ def _entropy(freqs: list[tuple[int, int]], n: int) -> float:
 
 def huffman_entropy(w: bytes) -> float:
     """Per-symbol entropy of the string's frequency distribution, in bits."""
-    _require_nonempty(w)
     return _entropy(_frequencies(w), len(w))
 
 
 def huffman_rate(w: bytes) -> float:
     """Per-symbol cost of the canonical Huffman code built from the string's
     own frequencies."""
-    _require_nonempty(w)
     return huffman_total_length(_frequencies(w)) / len(w)
 
 
@@ -179,9 +178,13 @@ def _order1_pass(w: bytes, table: CodeTable) -> tuple[int, int, float, int, dict
                 run += bits
                 nrpairs += f
     except (KeyError, TableError):
-        from .codec import encode
+        from .codec import IncrementalEncoder
 
-        encode(table, w)  # raises the encoder's positioned EncodeError
+        # the encoder raises its positioned EncodeError; fed in chunks, it
+        # never holds more than one chunk's bits
+        feed = IncrementalEncoder(table).feed
+        for start in range(0, len(w), _PAIR_CHUNK):
+            feed(w[start : start + _PAIR_CHUNK])
         raise
     return encoded, run, _transition_bits(pairs), nrpairs, pairs
 
@@ -272,10 +275,7 @@ def _csv_row(name: str, r: AnalysisReport) -> list[str]:
 def render_csv(rows: Sequence[tuple[str, AnalysisReport]]) -> str:
     """CSV rendering, one line per (name, report) pair plus a header."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for name, report in rows:
-        writer.writerow(_csv_row(name, report))
+    csv.writer(buffer, lineterminator="\n").writerows([CSV_COLUMNS, *starmap(_csv_row, rows)])
     return buffer.getvalue()
 
 

@@ -8,11 +8,15 @@ it has already emitted. ga_decode runs the decode loop of table codes and
 ga_encode its mirror; both call the rule itself once per position, over
 rows that a GACode builds and checks once, keyed by the bytes of their
 context; a row that is not a prefix code raises only when decoding visits
-it. A result that is bytes, or a 'B' memoryview such as a slice of the view
-the rule was given, and equals a known context is used as it is; every other
-result is checked in full, as AdaptiveFunction.__call__ checks it. Symbols
-here are raw byte values, and lookups are keyed by (symbol value, context of
-symbol values), so any code table can be flattened into this representation.
+it. ga_encode looks a result whose type is exactly bytes or memoryview up
+as it is, with no copy: bytes, and slices of the view the rule was given,
+which are read-only 'B' views that hash and compare like their bytes. A view
+that does not hash (one of a mutable buffer) or matches no known context,
+and every other result (a tuple, list or str), is checked in full, as
+AdaptiveFunction.__call__ checks it. ga_decode, in the shared loop, copies a
+one-dimensional 'B' view to bytes first. Symbols here are raw byte values,
+and lookups are keyed by (symbol value, context of symbol values), so any
+code table can be flattened into this representation.
 """
 
 from __future__ import annotations
@@ -161,22 +165,27 @@ def ga_encode(code: GACode, data: bytes) -> str:
     rule, rows = code.function.rule, code._cells
     view = memoryview(data).toreadonly()
     out: list[str] = []
-    for i in range(len(data)):
+    for i, v in enumerate(data):
         ctx = rule(i + 1, view[:i])
-        if type(ctx) is memoryview and ctx.format == "B" and ctx.ndim == 1:
-            ctx = ctx.tobytes()
-        row = rows.get(ctx) if type(ctx) is bytes else None
+        # a read-only 'B' view hashes and compares like its bytes, and a 'b'
+        # view equals a key only if its values are that key's byte values; a
+        # view of a mutable buffer does not hash, and a 'c' view compares its
+        # items, bytes, with the key's ints, which raises under python -bb
+        try:
+            row = rows.get(ctx) if type(ctx) is bytes or type(ctx) is memoryview else None
+        except (TypeError, ValueError, BytesWarning):
+            row = None
         if row is None:
             ctx = bytes(code.function._context(ctx, i + 1))
             row = rows.get(ctx, {})
-        word = row.get(data[i])
-        if word is None:
+        try:
+            out.append(row[v])
+        except KeyError:
             raise EncodeError(
-                f"no codeword for symbol {format_context(_BYTE_VALUES, (data[i],))} "
+                f"no codeword for symbol {format_context(_BYTE_VALUES, (v,))} "
                 f"in context '{format_context(_BYTE_VALUES, ctx)}' (position {i + 1})",
                 i + 1,
-            )
-        out.append(word)
+            ) from None
     return "".join(out)
 
 

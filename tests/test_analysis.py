@@ -358,3 +358,19 @@ def test_compare_report_memory_does_not_grow_with_the_input():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+    # a byte outside the alphabet after all of w: the encoder that names its
+    # position is fed in chunks, so it never holds the bits of all of w
+    bad = w + b"\xff"
+    with pytest.raises(EncodeError) as expected:
+        encode(t, bad)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EncodeError) as info:
+            compare_report(bad, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == str(expected.value)
+    assert info.value.position == expected.value.position == len(w) + 1
+    assert peak < 1 << 20
