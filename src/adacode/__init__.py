@@ -21,13 +21,14 @@ _EXPORTS = {
     " l_huffman l_not_huffman pair_stats r_a_literal render_comparison render_csv render_stats",
     "builder": "build_order1",
     "codec": "IncrementalEncoder decode encode prefix_predicate",
-    "container": "ContainerContent PackedBits decode_payload pack_bits"
-    " read_container table_from_text table_to_text unpack_bits write_container",
+    "container": "ContainerContent PackedBits decode_payload pack_bits read_container"
+    " unpack_bits write_container",
     # codec and container re-export the errors they raise
     "core": "AdaptiveCodeError Alphabet CodeTable ContainerError DecodeError EncodeError"
     " TableError alphabet_from_bytes format_context format_symbol iter_contexts table_get",
     "ga": "AdaptiveFunction GACode ga_decode ga_encode lookup_from_table order_n_function",
     "prefix": "huffman_build huffman_total_length is_prefix_code kraft_sum prefix_violation",
+    "tabletext": "table_from_text table_to_text",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

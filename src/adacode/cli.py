@@ -4,8 +4,10 @@ per-context prefix property, and print analysis reports.
 Exit codes: 0 success, 1 failed verification, 2 usage or parse errors,
 3 encode errors, 4 decode or container errors. Data and reports go to
 stdout, diagnostics to stderr. An input path of - reads standard input.
-Each command imports the codec, container and analysis layers inside its
-own function, only if it runs them, so that it starts faster.
+Each command imports the layers it runs inside its own function, so that it
+starts faster: build and verify import tabletext, the table text format;
+encode and decode import container, which imports codec; stats and compare
+import analysis. A --table adds tabletext to encode, stats and compare.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _resolve_alphabet(args: argparse.Namespace, fallback: bytes | None) -> Alpha
 
 
 def _read_table(path: str):
-    from .container import table_from_text
+    from .tabletext import table_from_text
 
     try:
         text = _read_input(path).decode("utf-8")
@@ -97,7 +99,7 @@ def _resolve_table(args: argparse.Namespace, fallback: bytes | None):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    from .container import table_to_text
+    from .tabletext import table_to_text
 
     table = build_order1(_resolve_alphabet(args, None))
     _write_text(args.out, table_to_text(table))

@@ -1,5 +1,4 @@
-"""On-disk formats: MSB-first bit packing, the binary stream container, and
-a line-oriented table text format.
+"""On-disk binary formats: MSB-first bit packing and the stream container.
 
 Container layout, all integers big-endian:
 
@@ -38,27 +37,11 @@ treats leftover bits as padding, which must be fewer than 8 and all zero.
 A stream goes one way through _encode_container, which feeds the encoder
 _CHUNK symbols at a time and packs each chunk's bits as it goes, so that it
 never holds a codeword per symbol, and back through _decode_container.
-
-The table text format is three whitespace-separated fields per line after
-two header lines:
-
-    order 2
-    alphabet ab
-    ~ a 0
-    ~ b 1
-    a a 0
-    ...
-
-`~` denotes the empty context. Symbols use the same escaping as everywhere
-else: printable ASCII except #, backslash and tilde is literal, anything
-else is \\xNN. Lines starting with # and blank lines are ignored. The text
-is parsed in one pass over its lines, and each distinct codeword is stored
-once, as one string that every cell holding it shares.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .builder import build_order1
@@ -72,11 +55,8 @@ from .core import (
     Context,
     EncodeError,
     Record,
-    TableError,
     _context_count,
     _pack_bits,
-    format_context,
-    format_symbol,
     is_bits,
     iter_contexts,
 )
@@ -90,8 +70,6 @@ MODE_LENGTHS = 0x02
 # code lengths 0..15 <-> the hex digits that bytes.fromhex and bytes.hex use
 _TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 _FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_BLOCK = 1 << 14  # characters of table text split into lines at a time
 _CHUNK = 1 << 14  # symbols per encoder feed: encoding keeps one chunk's bits at a time
 
 
@@ -361,128 +339,3 @@ def decode_payload(table: CodeTable, payload_bits: str | bytes, symbol_count: in
     if left >= 8 or tail:
         raise ContainerError(f"trailing garbage after encoded payload ({left} bits left)")
     return trace.output
-
-
-def table_to_text(table: CodeTable) -> str:
-    """Render a table in the line-oriented text format, rows in canonical
-    context order."""
-    names = [format_symbol(v) for v in table.alphabet.symbols]
-    lines = [f"order {table.order}", "alphabet " + "".join(names)]
-    for ctx in sorted(table.rows, key=lambda c: (len(c), c)):
-        ctx_text = format_context(table.alphabet, ctx)
-        lines += [f"{ctx_text} {name} {word}" for name, word in zip(names, table.rows[ctx])]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_symbol_values(text: str) -> list[int]:
-    values = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            # int() alone would also take a sign or non-ASCII digits
-            digits = text[i + 2 : i + 4]
-            if text[i + 1 : i + 2] != "x" or len(digits) != 2 or not set(digits) <= _HEX_DIGITS:
-                raise TableError(f"bad escape in '{text}'")
-            values.append(int(digits, 16))
-            i += 4
-        else:
-            if ord(ch) > 255:
-                raise TableError(f"'{ch}' is not a single byte")
-            values.append(ord(ch))
-            i += 1
-    return values
-
-
-def _lines(text: str) -> Iterator[str]:
-    """text.splitlines(), split a block of about _BLOCK characters at a time.
-    Each block but the last ends with a newline, which ends a line and
-    belongs to no longer line break, so the blocks split as the whole does."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
-
-
-def table_from_text(text: str) -> CodeTable:
-    """Parse the table text format in one pass over its lines, keeping one
-    string per distinct codeword. Errors carry 1-based line numbers."""
-    content = (
-        (line_no, line)
-        for line_no, line in enumerate(map(str.strip, _lines(text)), start=1)
-        if line and not line.startswith("#")
-    )
-    head = list(islice(content, 2))
-    if len(head) < 2:
-        raise TableError("table text needs an order line and an alphabet line")
-
-    # each row is a list of h cells while lines are read, then its tuple
-    cells: dict[Context, list | tuple[Codeword, ...]] = {}
-    # Fields repeat from line to line. Only fields that passed their checks
-    # are remembered, so an error still names the first line that has it.
-    contexts: dict[str, Context] = {"~": ()}
-    symbols: dict[str, int] = {}
-    codewords: dict[str, Codeword] = {}
-    line_no, line = head[0]
-    try:
-        fields = line.split()
-        # int() alone would also take a sign, "_" or non-ASCII digits
-        digits = fields[-1]
-        if len(fields) != 2 or fields[0] != "order" or not (digits.isascii() and digits.isdigit()):
-            raise TableError("expected 'order <n>'")
-        try:
-            order = int(digits)
-        except ValueError:  # more digits than int() converts
-            raise TableError("expected 'order <n>'") from None
-        if order < 1:
-            raise TableError("order must be at least 1")
-
-        line_no, line = head[1]
-        fields = line.split()
-        if len(fields) != 2 or fields[0] != "alphabet":
-            raise TableError("expected 'alphabet <symbols>'")
-        alphabet = Alphabet(tuple(_parse_symbol_values(fields[1])))
-        h = alphabet.size
-
-        for line_no, line in content:
-            fields = line.split()
-            if len(fields) != 3:
-                raise TableError(f"expected '<context> <symbol> <bits>', got '{line}'")
-            ctx_field, symbol_field, bits = fields
-            ctx = contexts.get(ctx_field)
-            if ctx is None:
-                ctx = tuple(map(alphabet.index_of, _parse_symbol_values(ctx_field)))
-                if len(ctx) > order:
-                    raise TableError(f"context longer than order {order}")
-                contexts[ctx_field] = ctx
-            symbol = symbols.get(symbol_field)
-            if symbol is None:
-                symbol_values = _parse_symbol_values(symbol_field)
-                if len(symbol_values) != 1:
-                    raise TableError(f"expected a single symbol, got '{symbol_field}'")
-                symbol = symbols[symbol_field] = alphabet.index_of(symbol_values[0])
-            word = codewords.get(bits)
-            if word is None:
-                if not is_bits(bits):
-                    raise TableError(f"codeword must be nonempty bits, got '{bits}'")
-                word = codewords[bits] = bits
-            row = cells.get(ctx)
-            if row is None:
-                row = cells[ctx] = [None] * h
-            if row[symbol] is not None:
-                raise TableError(
-                    f"duplicate cell for context '{ctx_field}' and symbol '{symbol_field}'"
-                )
-            row[symbol] = word
-    except AdaptiveCodeError as exc:  # a TableError, or Alphabet's own error
-        raise TableError(f"line {line_no}: {exc}") from None
-
-    for ctx, row in cells.items():
-        if None in row:
-            raise TableError(
-                f"incomplete row for context '{format_context(alphabet, ctx)}': "
-                f"{h - row.count(None)} of {h} codewords"
-            )
-        cells[ctx] = tuple(row)
-    return CodeTable(alphabet=alphabet, order=order, rows=cells)

@@ -632,19 +632,58 @@ def _mutated(draw, base, pieces):
 )
 @settings(max_examples=150, deadline=None)
 def test_mutated_inputs_end_with_an_exit_code(container, table_text):
-    # every data input ends in an exit code from 0 to 4, never an escaped exception
+    # every data input ends in an exit code from 0 to 4, never an escaped
+    # exception, and what a command writes when it exits 0 is consistent
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
-        source, adc, table, out = (os.path.join(tmp, name) for name in ("in", "adc", "t", "out"))
+        source, adc, table, out, back = (
+            os.path.join(tmp, name) for name in ("in", "adc", "t", "out", "back")
+        )
         Path(source).write_bytes(W1)
         Path(adc).write_bytes(container)
         Path(table).write_text(table_text, encoding="utf-8")
+        codes = {}
         for argv in (
             ["decode", adc],
             ["verify", table],
             ["encode", source, "--table", table],
             ["stats", source, "--table", table],
         ):
-            assert main(argv + ["--out", out]) in range(5)
+            codes[argv[0]] = code = main(argv + ["--out", out])
+            assert code in range(5)
+            if code == 0 and argv[0] == "decode":
+                _assert_decode_agrees(container, Path(out).read_bytes())
+            if code == 0 and argv[0] == "encode" and codes["verify"] == 0:
+                assert main(["decode", out, "--out", back]) == 0
+                assert Path(back).read_bytes() == W1
+
+
+def _assert_decode_agrees(blob: bytes, output: bytes) -> None:
+    """A decode that exits 0 returns as many symbols as its container states,
+    and they encode to its payload followed by fewer than 8 zero bits."""
+    content = read_container(blob)
+    assert content.symbol_count == len(output)
+    bits = encode(content.table, output)
+    padding = content.payload_bits[len(bits) :]
+    assert content.payload_bits == bits + padding and len(padding) < 8 and "1" not in padding
+
+
+def test_payload_bit_flips_exit_0_or_4_and_decode_consistently(tmp_path):
+    # version 1 containers carry no checksum, so a flipped payload bit may
+    # decode to other bytes; such a decode must still agree with its container
+    adc, out = tmp_path / "adc", tmp_path / "out"
+    flips = 0
+    for blob in ROBUSTNESS_CONTAINERS:
+        payload_bits = len(read_container(blob).payload_bits)  # every bit of the payload bytes
+        for bit in range(8 * len(blob) - payload_bits, 8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 0x80 >> bit % 8
+            adc.write_bytes(flipped)
+            code = main(["decode", str(adc), "--out", str(out)])
+            assert code in (0, 4)
+            if code == 0:
+                _assert_decode_agrees(bytes(flipped), out.read_bytes())
+            flips += 1
+    assert flips == 96
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 8])

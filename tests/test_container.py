@@ -28,9 +28,10 @@ from adacode import (
     write_container,
 )
 from adacode.builder import build_order1
-from adacode import container
-from adacode.container import _decode_container, _lines
+from adacode import tabletext
+from adacode.container import _decode_container
 from adacode.prefix import huffman_build
+from adacode.tabletext import _lines
 
 from helpers import (
     example_order2_table,
@@ -510,7 +511,7 @@ def test_table_text_with_one_bad_line_reports_that_line(monkeypatch, block):
     # a text read a block of characters at a time, with one bad line: that
     # line's error wins over the incomplete row it leaves; with fewer than
     # two content lines the missing header wins over a bad order line
-    monkeypatch.setattr(container, "_BLOCK", block)
+    monkeypatch.setattr(tabletext, "_BLOCK", block)
     lines = ["# header", "order 2", "", "alphabet ab"]
     body = table_to_text(example_order2_table()).splitlines()[2:]
     lines += body[:5] + ["  # a comment between cells", "\t"] + body[5:]
@@ -550,7 +551,7 @@ def test_table_text_with_one_bad_line_reports_that_line(monkeypatch, block):
 @pytest.mark.parametrize("block", [1, 2, 7, 8, 1 << 14])
 def test_table_text_lines_split_as_splitlines(monkeypatch, block):
     # blocks end after a newline, so no line break, \r\n included, is cut
-    monkeypatch.setattr(container, "_BLOCK", block)
+    monkeypatch.setattr(tabletext, "_BLOCK", block)
     rng = random.Random(block)
     breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\n"]
     for _ in range(50):

@@ -1,5 +1,5 @@
 """The package root: its exported names, loaded lazily, and what importing
-the CLI or the GA layer loads."""
+the CLI or the GA layer, or running each CLI command, loads."""
 
 import json
 import os
@@ -27,7 +27,7 @@ EXPORTS = {
     ],
     "container": [
         "ContainerContent", "ContainerError", "PackedBits", "decode_payload", "pack_bits",
-        "read_container", "table_from_text", "table_to_text", "unpack_bits", "write_container",
+        "read_container", "unpack_bits", "write_container",
     ],
     "core": [
         "AdaptiveCodeError", "Alphabet", "CodeTable", "TableError", "alphabet_from_bytes",
@@ -41,6 +41,7 @@ EXPORTS = {
         "huffman_build", "huffman_total_length", "is_prefix_code", "kraft_sum",
         "prefix_violation",
     ],
+    "tabletext": ["table_from_text", "table_to_text"],
 }
 
 
@@ -100,7 +101,7 @@ def test_the_cli_loads_no_analysis_ga_or_heavy_stdlib():
     assert "adacode.cli" in loaded
     unwanted = {
         "dataclasses", "inspect", "fractions", "decimal", "csv", "string",
-        "adacode.analysis", "adacode.ga",
+        "adacode.analysis", "adacode.ga", "adacode.tabletext",
     }
     assert loaded & unwanted == set()
 
@@ -142,3 +143,29 @@ def test_decode_loads_no_analysis(tmp_path):
     assert {"adacode.codec", "adacode.container"} <= loaded
     assert "adacode.analysis" not in loaded
     assert out.read_bytes() == b"abba"
+
+
+FORMATS = {"adacode.codec", "adacode.container", "adacode.tabletext"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["build", "--alphabet", "ab"], {"adacode.tabletext"}),
+        (["verify", "{table}"], {"adacode.tabletext"}),
+        (["stats", "{source}", "--table", "{table}", "--csv"], {"adacode.tabletext"}),
+        (["decode", "{adc}"], {"adacode.codec", "adacode.container"}),
+        (["encode", "{source}", "--builder"], {"adacode.codec", "adacode.container"}),
+        (["encode", "{source}", "--table", "{table}"], FORMATS),
+    ],
+    ids=["build", "verify", "stats-table", "decode", "encode-builder", "encode-table"],
+)
+def test_each_command_loads_only_the_formats_it_reads_or_writes(tmp_path, argv, loads):
+    table = adacode.build_order1(adacode.alphabet_from_bytes(b"ab"))
+    paths = {name: tmp_path / name for name in ("source", "table", "adc")}
+    paths["source"].write_bytes(b"abba")
+    paths["table"].write_text(adacode.table_to_text(table))
+    paths["adc"].write_bytes(adacode.write_container(table, 4, adacode.encode(table, b"abba")))
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    loaded = _newly_loaded(f"import adacode.cli; assert adacode.cli.main({argv!r}) == 0")
+    assert loaded & FORMATS == loads
