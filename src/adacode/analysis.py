@@ -32,6 +32,7 @@ from operator import eq, ne
 from typing import Callable, Sequence
 
 from .core import AdaptiveCodeError, CodeTable, EMPTY_CONTEXT, Record, TableError
+from .core import alphabet_from_bytes
 from .prefix import huffman_total_length
 
 
@@ -106,13 +107,7 @@ def _pair_counts(w: bytes) -> dict[tuple[int, int], int]:
     strided copies from views of w. Counter counts the bytes or units at C
     level.
     """
-    view, seen = memoryview(w), set()  # seen: the distinct symbols, or the first 17
-    # 4 KiB at a time: over more than 16 symbols the first piece usually tells
-    for start in range(0, len(w), 4096):
-        seen.update(bytes(view[start : start + 4096]).translate(None, bytes(seen)))
-        if len(seen) > 16:
-            break
-    symbols = sorted(seen)
+    view, symbols = memoryview(w), alphabet_from_bytes(w).symbols
     counts: Counter = Counter()
     if len(symbols) <= 16:
         indices = bytes.maketrans(bytes(symbols), bytes(range(len(symbols))))

@@ -171,7 +171,10 @@ class Alphabet(Record):
 
 def alphabet_from_bytes(data: bytes) -> Alphabet:
     """The sorted distinct byte values of data as an Alphabet."""
-    return Alphabet(tuple(sorted(set(data))))
+    view, seen = memoryview(data), set()
+    for start in range(0, len(view), 4096):  # at C level, deleting the values seen
+        seen.update(bytes(view[start : start + 4096]).translate(None, bytes(seen)))
+    return Alphabet(tuple(sorted(seen)))
 
 
 def format_context(alphabet: Alphabet, ctx: Sequence[int]) -> str:

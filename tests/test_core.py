@@ -29,6 +29,15 @@ def test_alphabet_from_bytes_sorts_and_dedups():
     assert alphabet_from_bytes(bytes(range(256))).size == 256
 
 
+@given(st.lists(st.tuples(st.integers(0, 255), st.integers(1, 3000)), min_size=1, max_size=12))
+def test_alphabet_from_bytes_is_the_sorted_set_for_every_bytes_like_input(runs):
+    # runs of one value, so that values first appear after a 4 KiB piece
+    data = b"".join(bytes([value]) * count for value, count in runs)
+    strided = memoryview(b"\xff" + data)[1::2]  # a view that is not contiguous
+    for source in (data, bytearray(data), memoryview(data), strided):
+        assert alphabet_from_bytes(source) == Alphabet(tuple(sorted(set(source))))
+
+
 def test_alphabet_from_bytes_rejects_empty():
     with pytest.raises(AdaptiveCodeError, match="empty alphabet source"):
         alphabet_from_bytes(b"")
