@@ -22,11 +22,12 @@ Container layout, all integers big-endian:
 
 Mode 0x00 stores no table; the reader rebuilds it with build_order1 from
 the alphabet, which requires order 1 and at least two symbols. Any other
-table whose every row is the canonical code of its own lengths
-(prefix.canonical_codewords, as in DEFLATE) and whose codewords have at most
-15 bits is written in mode 0x02, which stores only those lengths; the
-reader rebuilds each row, and refuses rows whose Kraft sum exceeds 1, so
-every row it returns is a prefix code. Other tables use mode 0x01, which is
+table whose codewords have at most 15 bits is stored as code lengths
+exactly when rebuilding each row from its lengths, as the reader does,
+gives the table back: that is mode 0x02. The reader rebuilds each row as
+the canonical code of its lengths (prefix.canonical_codewords, as in
+DEFLATE), and refuses rows whose Kraft sum exceeds 1, so every row it
+returns is a prefix code. Other tables use mode 0x01, which is
 read and written once per distinct codeword encoding: the rows of an
 order-n table repeat a few codewords many times, so the writer packs each
 distinct codeword once and the reader unpacks each distinct run of length
@@ -126,36 +127,13 @@ def _check_container_alphabet(values: Sequence[int]) -> None:
         raise ContainerError("container alphabets must be strictly increasing byte values")
 
 
-def _container_mode(table: CodeTable, builder_mode: bool | None = None) -> int:
-    """The mode byte of a container of table, or ContainerError if no
-    container can store it. builder_mode as in write_container."""
-    if not 1 <= table.order <= 255:
-        raise ContainerError("container order must be between 1 and 255")
-    _check_container_alphabet(table.alphabet.symbols)
-    if builder_mode is None or builder_mode:
-        if table.order == 1 and table.alphabet.size >= 2 and table == build_order1(table.alphabet):
-            return MODE_BUILDER
-        if builder_mode:
-            raise ContainerError(
-                "table is not the implied order-1 construction for its alphabet"
-            )
-    if not table.is_total():
-        raise ContainerError("explicit containers require a total table")
-    if table._longest > 255:
-        raise ContainerError("codeword longer than 255 bits")
-    return MODE_LENGTHS if table._longest <= 15 and _is_canonical(table) else MODE_EXPLICIT
-
-
-def _is_canonical(table: CodeTable) -> bool:
-    """True if every row is the canonical code of its own codeword lengths."""
+def _canonical_rows(lengths: bytes, h: int) -> Iterator[tuple[Codeword, ...]]:
+    """The rows of a code-length table as the reader rebuilds them: the
+    canonical code of each h lengths in turn, rows sharing equal words.
+    AdaptiveCodeError at the first lengths that have no canonical code."""
     words: dict[int, Codeword] = {}
-    try:
-        return all(
-            row == canonical_codewords(bytes(map(len, row)), words)
-            for row in table.rows.values()
-        )
-    except AdaptiveCodeError:  # oversubscribed lengths have no canonical code
-        return False
+    for start in range(0, len(lengths), h):
+        yield canonical_codewords(lengths[start : start + h], words)
 
 
 def write_container(
@@ -168,8 +146,10 @@ def write_container(
 
     builder_mode None picks mode 0x00 automatically when the table equals
     its alphabet's build_order1 result. Forcing True on any other table is
-    an error. Any other table must be total; it is stored as code lengths
-    (mode 0x02) when every row is canonical, else codeword by codeword.
+    an error. Any other table must be total. With no codeword over 15 bits,
+    it is stored as code lengths exactly when rebuilding each row from its
+    lengths, as the reader does, gives the table back (mode 0x02); else
+    codeword by codeword (mode 0x01).
     """
     _check_symbol_count(symbol_count)
     return bytes(_write_container(table, symbol_count, (payload_bits,), builder_mode))
@@ -181,8 +161,30 @@ def _write_container(
     """write_container of a payload given as consecutive pieces of its bits,
     which are packed as they come. The mode is chosen, or the table refused,
     before the first piece is read."""
-    mode = _container_mode(table, builder_mode)
+    if not 1 <= table.order <= 255:
+        raise ContainerError("container order must be between 1 and 255")
+    _check_container_alphabet(table.alphabet.symbols)
     h = table.alphabet.size
+    if (builder_mode is None or builder_mode) and (
+        table.order == 1 and h >= 2 and table == build_order1(table.alphabet)
+    ):
+        mode = MODE_BUILDER
+    elif builder_mode:
+        raise ContainerError("table is not the implied order-1 construction for its alphabet")
+    elif not table.is_total():
+        raise ContainerError("explicit containers require a total table")
+    elif table._longest > 255:
+        raise ContainerError("codeword longer than 255 bits")
+    else:
+        rows = list(map(table.rows.__getitem__, iter_contexts(h, table.order)))
+        mode = MODE_EXPLICIT
+        if table._longest <= 15:
+            lengths = b"".join(bytes(map(len, row)) for row in rows)
+            try:  # stops at the first row that the rebuild does not give back
+                if all(map(tuple.__eq__, rows, _canonical_rows(lengths, h))):
+                    mode = MODE_LENGTHS
+            except AdaptiveCodeError:  # oversubscribed lengths have no canonical code
+                pass
     out = bytearray()
     out += MAGIC
     out.append(VERSION)
@@ -192,17 +194,15 @@ def _write_container(
     out += symbol_count.to_bytes(8, "big")
     out.append(mode)
     if mode == MODE_LENGTHS:
-        contexts = iter_contexts(h, table.order)
-        lengths = b"".join(bytes(map(len, table.rows[ctx])) for ctx in contexts)
         if len(lengths) % 2:
             lengths += b"\0"  # the pad nibble
         out += bytes.fromhex(lengths.translate(_TO_HEX).decode())
     elif mode == MODE_EXPLICIT:
         # rows repeat codewords, so each distinct one is packed once, length byte first
-        words = set(chain.from_iterable(table.rows.values()))
+        words = set(chain.from_iterable(rows))
         encoded = {word: bytes((len(word),)) + _pack_bits(word) for word in words}
-        for ctx in iter_contexts(h, table.order):
-            out += b"".join(map(encoded.__getitem__, table.rows[ctx]))
+        for row in rows:
+            out += b"".join(map(encoded.__getitem__, row))
     for piece in _pack(payload):
         out += piece
     return out
@@ -307,13 +307,8 @@ def _parse_container(data: bytes) -> tuple[CodeTable, int, bytes, bool]:
         cursor += size
         if lengths[count:] not in (b"", b"\0"):
             raise ContainerError("nonzero pad nibble after the code lengths")
-        lengths = lengths[:count]
-        words: dict[int, Codeword] = {}
         try:
-            rows = {
-                ctx: canonical_codewords(lengths[start : start + h], words)
-                for ctx, start in zip(iter_contexts(h, order), range(0, count, h))
-            }
+            rows = dict(zip(iter_contexts(h, order), _canonical_rows(lengths[:count], h)))
         except AdaptiveCodeError as exc:
             raise ContainerError(str(exc)) from None
         table = CodeTable(alphabet=alphabet, order=order, rows=rows)

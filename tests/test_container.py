@@ -1,7 +1,6 @@
 """Bit packing, the binary container, and the table text format."""
 
 import random
-import re
 import tracemalloc
 
 import pytest
@@ -30,14 +29,13 @@ from adacode import (
 from adacode.builder import build_order1
 from adacode import tabletext
 from adacode.container import _decode_container
-from adacode.prefix import huffman_build
+from adacode.prefix import canonical_codewords, huffman_build
 from adacode.tabletext import _lines
 
 from helpers import (
     example_order2_table,
     explicit_table_bytes,
     length_table_bytes,
-    nonprefix_order2_table,
     random_prefix_row,
     random_string,
     random_table,
@@ -348,155 +346,6 @@ def test_empty_payload_container():
     content = read_container(write_container(t, 0, ""))
     assert content.payload_bits == ""
     assert decode_payload(content.table, content.payload_bits, 0) == b""
-
-
-def test_table_text_example_order2():
-    text = table_to_text(example_order2_table())
-    lines = text.strip().split("\n")
-    assert lines[0] == "order 2"
-    assert lines[1] == "alphabet ab"
-    assert len(lines) == 2 + 14
-    assert lines[2] == "~ a 0"
-    assert lines[3] == "~ b 1"
-    assert lines[12] == "ba a 1"
-    assert lines[13] == "ba b 0"
-    assert table_from_text(text) == example_order2_table()
-
-
-def test_table_text_roundtrip_builder():
-    for source in (b"ab", b"abc", b"abcdef"):
-        t = build_order1(alphabet_from_bytes(source))
-        assert table_from_text(table_to_text(t)) == t
-
-
-def test_table_text_roundtrip_nonprefix():
-    t = nonprefix_order2_table()
-    parsed = table_from_text(table_to_text(t))
-    assert parsed == t
-    assert prefix_predicate(parsed) is False
-
-
-def test_table_text_roundtrip_escaped_symbols():
-    t = build_order1(alphabet_from_bytes(bytes([126, 0, 92])))
-    text = table_to_text(t)
-    assert "alphabet \\x00\\x5c\\x7e" in text
-    assert table_from_text(text) == t
-    # escapes take upper-case hex digits too
-    assert table_from_text(text.replace("\\x5c", "\\x5C")) == t
-
-
-def test_table_text_roundtrip_hash_symbol():
-    # a row whose context starts with # must not read as a comment line
-    text = table_to_text(build_order1(alphabet_from_bytes(b"#ab")))
-    assert "\\x23 \\x23 0\n" in text
-    rng = random.Random(53)
-    tables = [build_order1(alphabet_from_bytes(b"#ab"))]
-    for _ in range(10):
-        size = rng.randint(1, 4)
-        symbols = sorted({0x23, *rng.sample(range(256), size)})
-        rows = {ctx: random_prefix_row(rng, len(symbols)) for ctx in iter_contexts(len(symbols), 2)}
-        tables.append(CodeTable(Alphabet(tuple(symbols)), 2, rows))
-    for table in tables:
-        assert table_from_text(table_to_text(table)) == table
-
-
-def test_table_text_reads_a_literal_hash_after_the_line_start():
-    text = "order 1\nalphabet #a\n~ # 0\n~ a 1\n\\x23 # 0\n\\x23 a 1\na # 1\na a 0\n"
-    table = table_from_text(text)
-    assert table.alphabet.symbols == (0x23, 0x61)
-    assert table.rows == {(): ("0", "1"), (0,): ("0", "1"), (1,): ("1", "0")}
-
-
-def test_table_text_ignores_comments_and_blank_lines():
-    text = (
-        "# a comment\n"
-        "\n"
-        "order 1\n"
-        "alphabet ab\n"
-        "  # indented comment\n"
-        "~ a 0\n"
-        "~ b 10\n"
-        "a a 0\n"
-        "a b 10\n"
-        "b a 10\n"
-        "b b 0\n"
-    )
-    assert table_from_text(text) == build_order1(alphabet_from_bytes(b"ab"))
-
-
-def test_table_text_cell_order_is_free():
-    ordered = table_to_text(build_order1(alphabet_from_bytes(b"ab")))
-    lines = ordered.strip().split("\n")
-    shuffled = lines[:2] + list(reversed(lines[2:]))
-    assert table_from_text("\n".join(shuffled)) == table_from_text(ordered)
-
-
-def test_table_text_parse_errors():
-    with pytest.raises(
-        TableError, match="^table text needs an order line and an alphabet line$"
-    ):
-        table_from_text("# nothing here\n")
-    with pytest.raises(TableError, match="^line 1: expected 'order <n>'$"):
-        table_from_text("ordre 1\nalphabet ab\n")
-    # only ASCII decimal digits: int() alone would read the last four as 1, 10, 1 and -1
-    for order in ("x", "+1", "1_0", "\u0661", "-1"):
-        with pytest.raises(TableError, match="^line 1: expected 'order <n>'$"):
-            table_from_text(f"order {order}\nalphabet ab\n")
-    # more digits than int() converts from a str
-    with pytest.raises(TableError, match="^line 1: expected 'order <n>'$"):
-        table_from_text("order " + "9" * 5000 + "\nalphabet ab\n")
-    with pytest.raises(TableError, match="^line 1: order must be at least 1$"):
-        table_from_text("order 0\nalphabet ab\n")
-    with pytest.raises(TableError, match="^line 2: expected 'alphabet <symbols>'$"):
-        table_from_text("order 1\nalpha ab\n")
-    with pytest.raises(TableError, match="^line 2: alphabet symbols must be distinct$"):
-        table_from_text("order 1\nalphabet aa\n")
-    with pytest.raises(TableError, match=r"^line 2: bad escape in '\\xZZ'$"):
-        table_from_text("order 1\nalphabet \\xZZ\n")
-    with pytest.raises(TableError, match=r"^line 2: bad escape in '\\x4'$"):
-        table_from_text("order 1\nalphabet \\x4\n")
-    # only two ASCII hex digits: int(..., 16) alone would read these as 1, -1, 0x12
-    for escape in ("\\x+1", "\\x-1", "\\x\u0661\u0662"):
-        message = re.escape(f"bad escape in 'a{escape}'")
-        with pytest.raises(TableError, match=f"^line 2: {message}$"):
-            table_from_text(f"order 1\nalphabet a{escape}\n")
-        message = re.escape(f"bad escape in '{escape}'")
-        with pytest.raises(TableError, match=f"^line 3: {message}$"):
-            table_from_text(f"order 1\nalphabet ab\n{escape} a 0\n")
-    with pytest.raises(
-        TableError, match="^line 3: expected '<context> <symbol> <bits>', got '~ a'$"
-    ):
-        table_from_text("order 1\nalphabet ab\n~ a\n")
-    with pytest.raises(TableError, match="^line 3: symbol c not in alphabet$"):
-        table_from_text("order 1\nalphabet ab\n~ c 0\n")
-    with pytest.raises(TableError, match="^line 3: symbol c not in alphabet$"):
-        table_from_text("order 1\nalphabet ab\nc a 0\n")
-    with pytest.raises(TableError, match="^line 3: expected a single symbol, got 'ab'$"):
-        table_from_text("order 1\nalphabet ab\n~ ab 0\n")
-    with pytest.raises(TableError, match="^line 3: context longer than order 1$"):
-        table_from_text("order 1\nalphabet ab\naa a 0\n")
-    with pytest.raises(TableError, match="^line 3: codeword must be nonempty bits, got '01x'$"):
-        table_from_text("order 1\nalphabet ab\n~ a 01x\n")
-    with pytest.raises(
-        TableError, match="^line 4: duplicate cell for context '~' and symbol 'a'$"
-    ):
-        table_from_text("order 1\nalphabet ab\n~ a 0\n~ a 1\n")
-    with pytest.raises(TableError, match="^line 2: '\u0100' is not a single byte$"):
-        table_from_text("order 1\nalphabet a\u0100\n")
-    with pytest.raises(
-        TableError, match="^incomplete row for context '~': 1 of 2 codewords$"
-    ):
-        table_from_text("order 1\nalphabet ab\n~ a 0\n")
-    # a field that repeats across lines reports the first line with the error
-    with pytest.raises(TableError, match="^line 3: symbol c not in alphabet$"):
-        table_from_text("order 1\nalphabet ab\nc a 0\n~ a 0\nc b 1\n")
-    with pytest.raises(TableError, match="^line 4: codeword must be nonempty bits, got '1x'$"):
-        table_from_text("order 1\nalphabet ab\n~ a 0\n~ b 1x\na a 1x\n")
-    # context field 'a' is first seen on line 3; its duplicate cell is on line 6
-    with pytest.raises(
-        TableError, match="^line 6: duplicate cell for context 'a' and symbol 'a'$"
-    ):
-        table_from_text("order 1\nalphabet ab\na a 0\na b 1\n~ a 0\na a 1\n")
 
 
 def _table_text_outcome(text: str) -> CodeTable | str:
@@ -838,6 +687,99 @@ def test_read_container_sizes_code_length_table_before_parsing(monkeypatch):
     with pytest.raises(ContainerError, match="^truncated container: a code-length table needs"):
         read_container(blob)
     assert built == []
+
+
+def _is_canonical_row(row: tuple[str, ...]) -> bool:
+    """True if row is the code that RFC 1951, section 3.2.2, assigns to its
+    own lengths: in (length, position) order the first word is all zeros,
+    each next word is the one before plus 1, shifted left to its length, and
+    no word needs more bits than its length."""
+    code = length = 0
+    for word in sorted(row, key=len):  # a stable sort keeps positions in order
+        code <<= len(word) - length
+        length = len(word)
+        if code >> length or word != format(code, f"0{length}b"):
+            return False
+        code += 1
+    return True
+
+
+def _bent_row(rng: random.Random, size: int, bend: bool) -> tuple[str, ...]:
+    """The canonical code of random lengths of at most 15 bits; if bend, then
+    two of its words of different lengths swapped or all of its bits
+    complemented, which keeps a prefix code, or two words replaced by 0 and
+    1, which oversubscribes."""
+    lengths = [len(word) for word in random_prefix_row(rng, size)]
+    lengths = [n + rng.choice((0, 0, rng.randint(1, 15 - n))) for n in lengths]
+    row = list(canonical_codewords(lengths))
+    how = rng.choice(("swap", "complement", "oversubscribe")) if bend else ""
+    pairs = [(i, j) for i in range(size) for j in range(i) if lengths[i] != lengths[j]]
+    if how == "swap" and pairs:
+        i, j = rng.choice(pairs)
+        row[i], row[j] = row[j], row[i]
+    elif how == "complement":
+        row = [word.translate(str.maketrans("01", "10")) for word in row]
+    elif how == "oversubscribe" and size >= 3:
+        row[:2] = "0", "1"
+    return tuple(row)
+
+
+@given(st.integers(1, 2), st.integers(2, 6), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_code_lengths_exactly_when_every_row_is_canonical(order, size, rng):
+    share = rng.choice((0, 0, 0.1, 0.5))  # of the rows that are bent
+    rows = {ctx: _bent_row(rng, size, rng.random() < share) for ctx in iter_contexts(size, order)}
+    table = CodeTable(Alphabet(tuple(sorted(rng.sample(range(256), size)))), order, rows)
+    blob = write_container(table, 0, "", builder_mode=False)
+    header = 17 + size
+    canonical = all(map(_is_canonical_row, rows.values()))
+    assert blob[header - 1] == (0x02 if canonical else 0x01)
+    assert blob[header:] == (length_table_bytes if canonical else explicit_table_bytes)(table)
+    assert read_container(blob).table == table
+
+
+def test_writer_stops_at_the_first_row_the_rebuild_does_not_give_back(monkeypatch):
+    import adacode.container as container
+
+    rebuilt = []
+
+    def counted(*args):
+        rebuilt.append(1)
+        return canonical_codewords(*args)
+
+    monkeypatch.setattr(container, "canonical_codewords", counted)
+    rows = dict.fromkeys(iter_contexts(3, 2), ("0", "10", "11"))
+    table = CodeTable(alphabet_from_bytes(b"abc"), 2, rows)
+    assert write_container(table, 0, "", builder_mode=False)[19] == 0x02
+    assert len(rebuilt) == 13
+    # an empty-context row that is a prefix code but not canonical, and one
+    # whose lengths have no canonical code: the first rebuild decides
+    for first in (("1", "01", "00"), ("0", "1", "00")):
+        rebuilt.clear()
+        table = CodeTable(alphabet_from_bytes(b"abc"), 2, {**rows, (): first})
+        assert write_container(table, 0, "", builder_mode=False)[19] == 0x01
+        assert len(rebuilt) <= 1
+
+
+def test_writer_holds_one_rebuilt_row_at_a_time():
+    # a canonical order-2 table over 64 symbols: 4,161 rows, 266,304 lengths
+    rng = random.Random(29)
+    lengths = [5] * 16 + [6] * 16 + [7] * 32
+    rows, words = {}, {}
+    for ctx in iter_contexts(64, 2):
+        rng.shuffle(lengths)
+        rows[ctx] = canonical_codewords(lengths, words)
+    table = CodeTable(Alphabet(tuple(range(64))), 2, rows)
+    tracemalloc.start()
+    try:
+        blob = write_container(table, 0, "", builder_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blob[80] == 0x02
+    # the hex text of the lengths and the copy of the container fit in the
+    # allowance; the 4,161 rebuilt rows, 2.3 MB as tuples, would not
+    assert peak < 64 * len(rows) + len(blob) + (1 << 20)
 
 
 def _fuzz_lengths_container() -> bytes:

@@ -1,13 +1,24 @@
-"""The table text format: comments, blank lines and spacing around the fields."""
+"""The table text format: round trips, escapes, comments, spacing and parse errors."""
 
 import random
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from adacode import TableError, alphabet_from_bytes, table_from_text, table_to_text
+from adacode import (
+    Alphabet,
+    CodeTable,
+    TableError,
+    alphabet_from_bytes,
+    iter_contexts,
+    prefix_predicate,
+    table_from_text,
+    table_to_text,
+)
 from adacode.builder import build_order1
 
-from helpers import random_table
+from helpers import example_order2_table, nonprefix_order2_table, random_prefix_row, random_table
 
 AB_TEXT = "order 1\nalphabet ab\n~ a 0\n~ b 10\na a 0\na b 10\nb a 10\nb b 0\n"
 
@@ -116,3 +127,152 @@ def test_noisy_text_parses_as_the_clean_text_and_names_a_bad_line(order, size, s
     lines[data[at]] = rng.choice(["", " ", "\t "]) + bad + rng.choice(["", "\t"])
     message = _outcome(_join(rng, lines))
     assert message == f"line {data[at] + 1}: " + expected.split(": ", 1)[1]
+
+
+def test_table_text_example_order2():
+    text = table_to_text(example_order2_table())
+    lines = text.strip().split("\n")
+    assert lines[0] == "order 2"
+    assert lines[1] == "alphabet ab"
+    assert len(lines) == 2 + 14
+    assert lines[2] == "~ a 0"
+    assert lines[3] == "~ b 1"
+    assert lines[12] == "ba a 1"
+    assert lines[13] == "ba b 0"
+    assert table_from_text(text) == example_order2_table()
+
+
+def test_table_text_roundtrip_builder():
+    for source in (b"ab", b"abc", b"abcdef"):
+        t = build_order1(alphabet_from_bytes(source))
+        assert table_from_text(table_to_text(t)) == t
+
+
+def test_table_text_roundtrip_nonprefix():
+    t = nonprefix_order2_table()
+    parsed = table_from_text(table_to_text(t))
+    assert parsed == t
+    assert prefix_predicate(parsed) is False
+
+
+def test_table_text_roundtrip_escaped_symbols():
+    t = build_order1(alphabet_from_bytes(bytes([126, 0, 92])))
+    text = table_to_text(t)
+    assert "alphabet \\x00\\x5c\\x7e" in text
+    assert table_from_text(text) == t
+    # escapes take upper-case hex digits too
+    assert table_from_text(text.replace("\\x5c", "\\x5C")) == t
+
+
+def test_table_text_roundtrip_hash_symbol():
+    # a row whose context starts with # must not read as a comment line
+    text = table_to_text(build_order1(alphabet_from_bytes(b"#ab")))
+    assert "\\x23 \\x23 0\n" in text
+    rng = random.Random(53)
+    tables = [build_order1(alphabet_from_bytes(b"#ab"))]
+    for _ in range(10):
+        size = rng.randint(1, 4)
+        symbols = sorted({0x23, *rng.sample(range(256), size)})
+        rows = {ctx: random_prefix_row(rng, len(symbols)) for ctx in iter_contexts(len(symbols), 2)}
+        tables.append(CodeTable(Alphabet(tuple(symbols)), 2, rows))
+    for table in tables:
+        assert table_from_text(table_to_text(table)) == table
+
+
+def test_table_text_reads_a_literal_hash_after_the_line_start():
+    text = "order 1\nalphabet #a\n~ # 0\n~ a 1\n\\x23 # 0\n\\x23 a 1\na # 1\na a 0\n"
+    table = table_from_text(text)
+    assert table.alphabet.symbols == (0x23, 0x61)
+    assert table.rows == {(): ("0", "1"), (0,): ("0", "1"), (1,): ("1", "0")}
+
+
+def test_table_text_ignores_comments_and_blank_lines():
+    text = (
+        "# a comment\n"
+        "\n"
+        "order 1\n"
+        "alphabet ab\n"
+        "  # indented comment\n"
+        "~ a 0\n"
+        "~ b 10\n"
+        "a a 0\n"
+        "a b 10\n"
+        "b a 10\n"
+        "b b 0\n"
+    )
+    assert table_from_text(text) == build_order1(alphabet_from_bytes(b"ab"))
+
+
+def test_table_text_cell_order_is_free():
+    ordered = table_to_text(build_order1(alphabet_from_bytes(b"ab")))
+    lines = ordered.strip().split("\n")
+    shuffled = lines[:2] + list(reversed(lines[2:]))
+    assert table_from_text("\n".join(shuffled)) == table_from_text(ordered)
+
+
+def test_table_text_parse_errors():
+    with pytest.raises(
+        TableError, match="^table text needs an order line and an alphabet line$"
+    ):
+        table_from_text("# nothing here\n")
+    with pytest.raises(TableError, match="^line 1: expected 'order <n>'$"):
+        table_from_text("ordre 1\nalphabet ab\n")
+    # only ASCII decimal digits: int() alone would read the last four as 1, 10, 1 and -1
+    for order in ("x", "+1", "1_0", "\u0661", "-1"):
+        with pytest.raises(TableError, match="^line 1: expected 'order <n>'$"):
+            table_from_text(f"order {order}\nalphabet ab\n")
+    # more digits than int() converts from a str
+    with pytest.raises(TableError, match="^line 1: expected 'order <n>'$"):
+        table_from_text("order " + "9" * 5000 + "\nalphabet ab\n")
+    with pytest.raises(TableError, match="^line 1: order must be at least 1$"):
+        table_from_text("order 0\nalphabet ab\n")
+    with pytest.raises(TableError, match="^line 2: expected 'alphabet <symbols>'$"):
+        table_from_text("order 1\nalpha ab\n")
+    with pytest.raises(TableError, match="^line 2: alphabet symbols must be distinct$"):
+        table_from_text("order 1\nalphabet aa\n")
+    with pytest.raises(TableError, match=r"^line 2: bad escape in '\\xZZ'$"):
+        table_from_text("order 1\nalphabet \\xZZ\n")
+    with pytest.raises(TableError, match=r"^line 2: bad escape in '\\x4'$"):
+        table_from_text("order 1\nalphabet \\x4\n")
+    # only two ASCII hex digits: int(..., 16) alone would read these as 1, -1, 0x12
+    for escape in ("\\x+1", "\\x-1", "\\x\u0661\u0662"):
+        message = re.escape(f"bad escape in 'a{escape}'")
+        with pytest.raises(TableError, match=f"^line 2: {message}$"):
+            table_from_text(f"order 1\nalphabet a{escape}\n")
+        message = re.escape(f"bad escape in '{escape}'")
+        with pytest.raises(TableError, match=f"^line 3: {message}$"):
+            table_from_text(f"order 1\nalphabet ab\n{escape} a 0\n")
+    with pytest.raises(
+        TableError, match="^line 3: expected '<context> <symbol> <bits>', got '~ a'$"
+    ):
+        table_from_text("order 1\nalphabet ab\n~ a\n")
+    with pytest.raises(TableError, match="^line 3: symbol c not in alphabet$"):
+        table_from_text("order 1\nalphabet ab\n~ c 0\n")
+    with pytest.raises(TableError, match="^line 3: symbol c not in alphabet$"):
+        table_from_text("order 1\nalphabet ab\nc a 0\n")
+    with pytest.raises(TableError, match="^line 3: expected a single symbol, got 'ab'$"):
+        table_from_text("order 1\nalphabet ab\n~ ab 0\n")
+    with pytest.raises(TableError, match="^line 3: context longer than order 1$"):
+        table_from_text("order 1\nalphabet ab\naa a 0\n")
+    with pytest.raises(TableError, match="^line 3: codeword must be nonempty bits, got '01x'$"):
+        table_from_text("order 1\nalphabet ab\n~ a 01x\n")
+    with pytest.raises(
+        TableError, match="^line 4: duplicate cell for context '~' and symbol 'a'$"
+    ):
+        table_from_text("order 1\nalphabet ab\n~ a 0\n~ a 1\n")
+    with pytest.raises(TableError, match="^line 2: '\u0100' is not a single byte$"):
+        table_from_text("order 1\nalphabet a\u0100\n")
+    with pytest.raises(
+        TableError, match="^incomplete row for context '~': 1 of 2 codewords$"
+    ):
+        table_from_text("order 1\nalphabet ab\n~ a 0\n")
+    # a field that repeats across lines reports the first line with the error
+    with pytest.raises(TableError, match="^line 3: symbol c not in alphabet$"):
+        table_from_text("order 1\nalphabet ab\nc a 0\n~ a 0\nc b 1\n")
+    with pytest.raises(TableError, match="^line 4: codeword must be nonempty bits, got '1x'$"):
+        table_from_text("order 1\nalphabet ab\n~ a 0\n~ b 1x\na a 1x\n")
+    # context field 'a' is first seen on line 3; its duplicate cell is on line 6
+    with pytest.raises(
+        TableError, match="^line 6: duplicate cell for context 'a' and symbol 'a'$"
+    ):
+        table_from_text("order 1\nalphabet ab\na a 0\na b 1\n~ a 0\na a 1\n")
