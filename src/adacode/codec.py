@@ -156,8 +156,9 @@ def _code(row: Iterable[tuple], slots: int, context: bytes, places: dict | None 
     byte go into one entry (group, 0, width): group is the flat tuple word,
     cell, word, cell, ... of their codewords and cells, and width the length
     of the longest. The rest are _MISS. Every leaf has a length, every other
-    entry length 0. places, a dict that rows may share, keeps the entries of
-    each codeword as one int: start << 9 | span, or ~first byte if longer."""
+    entry length 0. places keeps the entries of each codeword as one int:
+    start << 9 | span, or ~first byte if longer; the rows of one decode, or
+    of one GA code, share one places dict."""
     table = [_MISS] * (257 + slots)  # built at its size: a list that grows keeps spare room
     table[256:] = [None] * slots + [context]
     longer: dict[int, list] = {}
@@ -322,11 +323,9 @@ def decode(table: CodeTable, bits: str | bytes, max_symbols: int | None = None) 
             raise DecodeError(f"no codeword row for context {name}", cursor, position, window)
         words = table.rows[ctx]
         lengths = list(map(len, words))
-        try:  # a cell is made when a visited row first needs it
-            row = list(map(getitem, map(cells.__getitem__, lengths), range(h)))
-        except KeyError:
-            new = zip(alphabet.symbols, lengths, range(256, 256 + h))
-            row = list(map(dict.setdefault, map(cells.__getitem__, lengths), range(h), new))
+        # a cell is made when a visited row first needs it
+        new = zip(alphabet.symbols, lengths, range(256, 256 + h))
+        row = list(map(dict.setdefault, map(cells.__getitem__, lengths), range(h), new))
         code = codes[window] = _code(zip(row, words), h, window, places)
         # link the row once, in place: it copies its successors from a sibling,
         # or looks them up if it is the first, and the rows it follows take it

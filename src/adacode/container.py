@@ -94,9 +94,9 @@ def _pack(chunks: Iterable[str]) -> Iterator[bytes]:
         if not isinstance(bits, str) or not is_bits(bits):
             raise ContainerError("bit sequence must contain only 0 and 1")
         bits = carry + bits
-        rest = len(bits) % 8
-        yield (int(bits or "0", 2) >> rest).to_bytes(len(bits) // 8, "big")
-        carry = bits[len(bits) - rest :]
+        whole = len(bits) - len(bits) % 8
+        yield _pack_bits(bits[:whole])
+        carry = bits[whole:]
     yield _pack_bits(carry)
 
 
@@ -179,7 +179,7 @@ def _write_container(
         rows = list(map(table.rows.__getitem__, iter_contexts(h, table.order)))
         mode = MODE_EXPLICIT
         if table._longest <= 15:
-            lengths = b"".join(bytes(map(len, row)) for row in rows)
+            lengths = bytes(map(len, chain.from_iterable(rows)))
             try:  # stops at the first row that the rebuild does not give back
                 if all(map(tuple.__eq__, rows, _canonical_rows(lengths, h))):
                     mode = MODE_LENGTHS
@@ -201,7 +201,7 @@ def _write_container(
         # rows repeat codewords, so each distinct one is packed once, length byte first
         words = set(chain.from_iterable(rows))
         encoded = {word: bytes((len(word),)) + _pack_bits(word) for word in words}
-        for row in rows:
+        for row in rows:  # one join per row: bytes.join holds an 80-byte buffer per item
             out += b"".join(map(encoded.__getitem__, row))
     for piece in _pack(payload):
         out += piece

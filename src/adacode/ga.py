@@ -104,10 +104,10 @@ class GACode(Record):
     # _cells and _codes are built once per code, never written after: per
     # context within the rule's bound, keyed by its bytes, the encoder row
     # (symbol -> codeword) and, if the row is a prefix code, its _code, whose
-    # cells the rows share, whose one successor slot stays None, since a
-    # rule's context need not follow from the row and the symbol, and whose
-    # last entry is the context's bytes; _longest is the length of the
-    # longest codeword
+    # cells and places (see _code) the rows share, whose one successor slot
+    # stays None, since a rule's context need not follow from the row and the
+    # symbol, and whose last entry is the context's bytes; _longest is the
+    # length of the longest codeword
     __slots__ = ("function", "lookup", "_cells", "_codes", "_longest")
     _fields = ("function", "lookup")
 
@@ -137,11 +137,12 @@ class GACode(Record):
         rows = {bytes(c): r for c, r in rows.items() if bound is None or len(c) <= bound}
         cells: dict[tuple, tuple] = {}  # one per (symbol, length), shared by the rows
         codes = {}
+        places: dict[str, int] = {}  # see _code
         for c, r in rows.items():
             # r.values() keeps a repeated codeword, so such a row is not a prefix code
             if is_prefix_code(r.values()):
                 keys = [(v, len(w), 256) for v, w in r.items()]
-                codes[c] = _code(zip(map(cells.setdefault, keys, keys), r.values()), 1, c)
+                codes[c] = _code(zip(map(cells.setdefault, keys, keys), r.values()), 1, c, places)
         super().__init__(function, normalized)
         object.__setattr__(self, "_cells", rows)
         object.__setattr__(self, "_codes", codes)

@@ -1,4 +1,4 @@
-"""Bit packing, the binary container, and the table text format."""
+"""Bit packing and the binary container."""
 
 import random
 import tracemalloc
@@ -13,7 +13,6 @@ from adacode import (
     ContainerError,
     DecodeError,
     PackedBits,
-    TableError,
     alphabet_from_bytes,
     decode_payload,
     encode,
@@ -27,10 +26,8 @@ from adacode import (
     write_container,
 )
 from adacode.builder import build_order1
-from adacode import tabletext
 from adacode.container import _decode_container
 from adacode.prefix import canonical_codewords, huffman_build
-from adacode.tabletext import _lines
 
 from helpers import (
     example_order2_table,
@@ -346,91 +343,6 @@ def test_empty_payload_container():
     content = read_container(write_container(t, 0, ""))
     assert content.payload_bits == ""
     assert decode_payload(content.table, content.payload_bits, 0) == b""
-
-
-def _table_text_outcome(text: str) -> CodeTable | str:
-    try:
-        return table_from_text(text)
-    except TableError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("block", [1, 2, 7, 8, 1 << 14])
-def test_table_text_with_one_bad_line_reports_that_line(monkeypatch, block):
-    # a text read a block of characters at a time, with one bad line: that
-    # line's error wins over the incomplete row it leaves; with fewer than
-    # two content lines the missing header wins over a bad order line
-    monkeypatch.setattr(tabletext, "_BLOCK", block)
-    lines = ["# header", "order 2", "", "alphabet ab"]
-    body = table_to_text(example_order2_table()).splitlines()[2:]
-    lines += body[:5] + ["  # a comment between cells", "\t"] + body[5:]
-    assert _table_text_outcome("\n".join(lines)) == example_order2_table()
-    header = {
-        1: [("order x", "expected 'order <n>'"), ("order 0", "order must be at least 1")],
-        3: [("alphabet aa", "alphabet symbols must be distinct"), ("alpha ab", "expected 'alphabet <symbols>'")],
-    }
-    for index, bad_lines in header.items():
-        for bad, message in bad_lines:
-            text = "\n".join(lines[:index] + [bad] + lines[index + 1 :])
-            assert _table_text_outcome(text) == f"line {index + 1}: {message}"
-    data = [i for i, line in enumerate(lines) if i > 3 and line.strip() and line.strip()[0] != "#"]
-    for index in data:
-        ctx, symbol, _ = lines[index].split()
-        bad_lines = [
-            (f"{ctx} {symbol}", f"expected '<context> <symbol> <bits>', got '{ctx} {symbol}'"),
-            (f"{ctx} {symbol} 0x", "codeword must be nonempty bits, got '0x'"),
-            (f"{ctx} c 0", "symbol c not in alphabet"),
-            (f"{ctx} ab 0", "expected a single symbol, got 'ab'"),
-            (f"aaa {symbol} 0", "context longer than order 2"),
-        ]
-        if index > data[0]:
-            first = lines[data[0]]
-            ctx, symbol, _ = first.split()
-            bad_lines.append((first, f"duplicate cell for context '{ctx}' and symbol '{symbol}'"))
-        for bad, message in bad_lines:
-            text = "\n".join(lines[:index] + [bad] + lines[index + 1 :])
-            assert _table_text_outcome(text) == f"line {index + 1}: {message}"
-    needs = "table text needs an order line and an alphabet line"
-    for text in ("", "order x", "# c\norder 2\n\n", "order x\n# alphabet ab\n"):
-        assert _table_text_outcome(text) == needs
-    assert _table_text_outcome("order x\n~ a 0") == "line 1: expected 'order <n>'"
-    assert _table_text_outcome("order 2\n~ a 0") == "line 2: expected 'alphabet <symbols>'"
-
-
-@pytest.mark.parametrize("block", [1, 2, 7, 8, 1 << 14])
-def test_table_text_lines_split_as_splitlines(monkeypatch, block):
-    # blocks end after a newline, so no line break, \r\n included, is cut
-    monkeypatch.setattr(tabletext, "_BLOCK", block)
-    rng = random.Random(block)
-    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\n"]
-    for _ in range(50):
-        text = "".join(
-            rng.choice(["", "a", "~ b 10", " # c "]) + rng.choice(breaks) for _ in range(rng.randint(0, 30))
-        )
-        text += rng.choice(["", "tail"])
-        assert list(_lines(text)) == text.splitlines()
-
-
-def test_table_from_text_memory_is_bounded():
-    # one pass over the lines, one string per distinct codeword: the peak
-    # stays within a fixed multiple of the text, also for texts that fail
-    # on their last line or on an incomplete row
-    text = table_to_text(random_table(random.Random(43), 2, 32))
-    lines = text.splitlines()
-    texts = [
-        text,
-        text + lines[-1] + "\n",
-        text + "~ ab 0\n",
-        "\n".join(lines[:-1]),
-    ]
-    for text in texts:
-        tracemalloc.start()
-        try:
-            _table_text_outcome(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * len(text) + 256 * 1024
 
 
 def test_random_tables_roundtrip_both_formats():
@@ -782,6 +694,21 @@ def test_writer_holds_one_rebuilt_row_at_a_time():
     assert peak < 64 * len(rows) + len(blob) + (1 << 20)
 
 
+def test_explicit_table_writer_memory_is_bounded():
+    # an order-2 table over 32 symbols stored codeword by codeword: 1,057
+    # rows, 33,824 cells; one bytes.join over every cell would hold a buffer
+    # struct per cell, about 3.3 MB
+    table = random_table(random.Random(43), 2, 32)
+    tracemalloc.start()
+    try:
+        blob = write_container(table, 0, "", builder_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blob[48] == 0x01
+    assert peak < 4 * len(blob) + (1 << 19)
+
+
 def _fuzz_lengths_container() -> bytes:
     """A small code-length order-2 container over {a, b, c} with a payload;
     one row is incomplete, so some bit patterns decode to nothing."""
@@ -807,28 +734,3 @@ def test_read_code_length_container_fuzz_raises_only_container_errors(blob):
     except (ContainerError, DecodeError):  # DecodeError: bits that no row decodes
         return
     assert isinstance(data, bytes)
-
-
-TABLE_TOKENS = (
-    "~", "a", "b", "c", "ab", "aa", "\\x61", "\\x6", "\\xZZ", "\\", "\u0100",
-    "\\x-1", "\\x+1", "\\x\u0661\u0662",
-    "0", "1", "01", "10", "0x", "2", "#", "order", "alphabet",
-)
-
-
-@given(
-    st.sampled_from(("order 1", "order 2", "order 0", "order x", "order", "ordre 1")),
-    st.sampled_from((
-        "alphabet ab", "alphabet aa", "alphabet \\x61b", "alphabet \\xZ", "alphabet",
-        "alphabet a\\x-1", "alphabet a\\x+1", "alphabet a\\x\u0661\u0662",
-    )),
-    st.lists(st.lists(st.sampled_from(TABLE_TOKENS), min_size=0, max_size=4), max_size=12),
-)
-@settings(max_examples=300, deadline=None)
-def test_table_from_text_fuzz_raises_only_table_errors(order_line, alphabet_line, cells):
-    text = "\n".join([order_line, alphabet_line] + [" ".join(cell) for cell in cells])
-    try:
-        table = table_from_text(text)
-    except TableError:
-        return
-    assert isinstance(table, CodeTable)
